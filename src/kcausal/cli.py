@@ -8,7 +8,7 @@ subsets), ``timefn`` (enumerate or sample time functions), ``generate``
 
 Exit codes are a stable contract: 0 = feasible / success, 1 = infeasible or
 not stably causal or failing suites, 2 = input or usage error, 3 = internal
-consistency failure (decision procedure and oracle disagree).  All emitted
+consistency failure (bug signal).  All emitted
 JSON is byte-deterministic: sorted keys, two-space indent, rationals as
 strings, no timestamps.
 """
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 from pathlib import Path
 
@@ -25,6 +24,7 @@ from .errors import InputError, KCausalError, NotStablyCausalError
 from .harness import SUITES, TrialConfig, report_to_jsonable, run_suite
 from .measures import measure_from_jsonable
 from .structure import (
+    DEFAULT_UPSET_BOUND,
     enumerate_upsets,
     generate,
     generator_spec_from_jsonable,
@@ -32,8 +32,9 @@ from .structure import (
     space_to_jsonable,
 )
 from .timefunctions import (
+    DEFAULT_ENUMERATION_BOUND,
+    _sampled_timefns,
     enumerate_time_functions,
-    sample_time_function,
     timefn_to_jsonable,
 )
 from .transport import (
@@ -45,32 +46,26 @@ from .transport import (
 
 __all__ = ["main"]
 
-SEED_SPAN = 2**64
-
 
 def _load_json(path: str):
     with open(path, encoding="utf-8") as handle:
         return json.load(handle)
 
 
-def _render(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+def _write(text: str, path: str | None):
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        Path(path).write_text(text, encoding="utf-8")
 
 
 def _emit(obj, path: str | None):
-    text = _render(obj)
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text, encoding="utf-8")
+    _write(json.dumps(obj, indent=2, sort_keys=True) + "\n", path)
 
 
-def _emit_lines(objs, path: str | None):
-    text = "".join(json.dumps(obj, sort_keys=True) + "\n" for obj in objs)
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text, encoding="utf-8")
+def _bug(what: str) -> int:
+    print(f"error: {what}; this is a bug, please report the inputs", file=sys.stderr)
+    return 3
 
 
 def _cmd_check(args) -> int:
@@ -81,12 +76,7 @@ def _cmd_check(args) -> int:
     if args.oracle:
         oracle_feasible, _ = strassen_check(space, mu, nu)
         if oracle_feasible != cert.feasible:
-            print(
-                "error: decision procedure and subset oracle disagree; "
-                "this is a bug, please report the inputs",
-                file=sys.stderr,
-            )
-            return 3
+            return _bug("decision procedure and subset oracle disagree")
     if args.certificate:
         _emit(certificate_to_jsonable(cert), args.certificate)
     if args.witness and cert.feasible:
@@ -114,16 +104,11 @@ def _cmd_timefn(args) -> int:
     if args.enumerate:
         timefns = enumerate_time_functions(space, max_events=args.max_events)
     else:
-        if args.sample < 1:
-            raise InputError("sample count must be positive")
+        timefns = _sampled_timefns(space, args.sample, args.seed)
         if args.seed is None:
             raise InputError("--sample requires an explicit --seed")
-        rng = random.Random(args.seed)
-        timefns = [
-            sample_time_function(space, rng.randrange(SEED_SPAN))
-            for _ in range(args.sample)
-        ]
-    _emit_lines((timefn_to_jsonable(t) for t in timefns), args.out)
+    lines = (json.dumps(timefn_to_jsonable(t), sort_keys=True) + "\n" for t in timefns)
+    _write("".join(lines), args.out)
     return 0
 
 
@@ -182,7 +167,10 @@ def _build_parser() -> argparse.ArgumentParser:
     upsets.add_argument("spacetime", help="spacetime JSON path")
     upsets.add_argument("--out", metavar="PATH", help="output path (default stdout)")
     upsets.add_argument(
-        "--max-events", type=int, default=20, help="refuse larger spaces (default 20)"
+        "--max-events",
+        type=int,
+        default=DEFAULT_UPSET_BOUND,
+        help="refuse larger spaces (default %(default)s)",
     )
     upsets.set_defaults(handler=_cmd_upsets)
 
@@ -195,7 +183,10 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--sample", type=int, metavar="N", help="draw N seeded samples")
     timefn.add_argument("--seed", type=int, help="sampling seed (required with --sample)")
     timefn.add_argument(
-        "--max-events", type=int, default=8, help="enumeration bound (default 8)"
+        "--max-events",
+        type=int,
+        default=DEFAULT_ENUMERATION_BOUND,
+        help="enumeration bound (default %(default)s)",
     )
     timefn.add_argument("--out", metavar="PATH", help="output path (default stdout)")
     timefn.set_defaults(handler=_cmd_timefn)
@@ -217,10 +208,13 @@ def _build_parser() -> argparse.ArgumentParser:
         default="all",
         help="comma-separated suite names, or 'all' (default)",
     )
-    verify.add_argument("--trials", type=int, default=200, help="trials per suite")
-    verify.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
+    verify.add_argument("--trials", type=int, default=TrialConfig.trials, help="trials per suite")
+    verify.add_argument("--seed", type=int, default=TrialConfig.seed, help="base seed (default %(default)s)")
     verify.add_argument(
-        "--max-events", type=int, default=7, help="instance size cap (default 7)"
+        "--max-events",
+        type=int,
+        default=TrialConfig.max_events,
+        help="instance size cap (default %(default)s)",
     )
     verify.add_argument("--report", metavar="PATH", help="report path (default stdout)")
     verify.set_defaults(handler=_cmd_verify)
@@ -239,6 +233,8 @@ def main(argv=None) -> int:
     except (KCausalError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except AssertionError as exc:
+        return _bug(f"internal consistency check failed: {exc}")
 
 
 if __name__ == "__main__":

@@ -22,6 +22,8 @@ from .measures import (
     tv_distance,
 )
 from .structure import (
+    DEFAULT_UPSET_BOUND,
+    SEED_SPAN,
     CausalSpace,
     iter_bits,
     lemma_complement_check,
@@ -30,6 +32,7 @@ from .structure import (
     sprinkle_space,
 )
 from .timefunctions import (
+    DEFAULT_ENUMERATION_BOUND,
     _linear_extensions,
     condition4_check,
     condition5_check,
@@ -74,12 +77,9 @@ SUITES = (
 
 # Suites that enumerate linear extensions cap the instance size harder than
 # the subset-enumeration suites do.
-ENUMERATION_BOUND = 8
-SUBSET_BOUND = 20
 _ENUMERATION_SUITES = frozenset({"thm3-chain", "minguzzi", "remark8"})
 
 MEASURE_DENOMINATOR = 24
-SEED_SPAN = 2**64
 
 
 @dataclass(frozen=True)
@@ -107,7 +107,7 @@ class TrialConfig:
         if self.max_events < 1:
             raise InputError("max_events must be positive")
         for name in ordered:
-            bound = ENUMERATION_BOUND if name in _ENUMERATION_SUITES else SUBSET_BOUND
+            bound = DEFAULT_ENUMERATION_BOUND if name in _ENUMERATION_SUITES else DEFAULT_UPSET_BOUND
             if self.max_events > bound:
                 raise InputError(
                     f"suite {name!r} caps max_events at {bound}, got {self.max_events}"
@@ -286,8 +286,8 @@ def implication_chain_trial(
     space: CausalSpace,
     mu: Measure,
     nu: Measure,
-    subset_bound: int = SUBSET_BOUND,
-    enumeration_bound: int = ENUMERATION_BOUND,
+    subset_bound: int = DEFAULT_UPSET_BOUND,
+    enumeration_bound: int = DEFAULT_ENUMERATION_BOUND,
 ) -> dict:
     """Verdicts of the five feasibility conditions on one instance.
 
@@ -374,7 +374,7 @@ def _oracle_runner(rng: random.Random, max_events: int) -> tuple[bool, dict]:
     space = random_space(rng, max_events)
     mu, nu = _random_pair(rng, space)
     cert = decide_k_causal(space, mu, nu)
-    oracle_feasible, oracle_violator = strassen_check(space, mu, nu, max_events=SUBSET_BOUND)
+    oracle_feasible, oracle_violator = strassen_check(space, mu, nu)
     ok = cert.feasible == oracle_feasible
     if ok and cert.feasible:
         ok = verify_coupling(space, cert.witness, mu, nu)
@@ -435,12 +435,8 @@ def _minguzzi_runner(rng: random.Random, max_events: int) -> tuple[bool, dict]:
 def _remark8_runner(rng: random.Random, max_events: int) -> tuple[bool, dict]:
     space = random_space(rng, max_events)
     mu, nu = _random_pair(rng, space)
-    open_verdict = condition4_check(
-        space, mu, nu, half_line="open", mode="exhaustive", max_events=ENUMERATION_BOUND
-    )
-    closed_verdict = condition4_check(
-        space, mu, nu, half_line="closed", mode="exhaustive", max_events=ENUMERATION_BOUND
-    )
+    open_verdict = condition4_check(space, mu, nu, half_line="open", mode="exhaustive")
+    closed_verdict = condition4_check(space, mu, nu, half_line="closed", mode="exhaustive")
     if open_verdict == closed_verdict:
         return True, {}
     return False, _bundle(space, mu=mu, nu=nu, open=open_verdict, closed=closed_verdict)

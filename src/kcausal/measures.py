@@ -14,7 +14,7 @@ from math import lcm
 from typing import Iterable, Mapping
 
 from .errors import InputError
-from .structure import EventSet, iter_bits, _as_fraction
+from .structure import CausalSpace, EventSet, iter_bits, parse_rational
 
 __all__ = [
     "Measure",
@@ -30,14 +30,6 @@ __all__ = [
     "measure_from_jsonable",
     "measure_to_jsonable",
 ]
-
-
-def parse_rational(value) -> Fraction:
-    """Exact rational from a ``"p/q"``, integer, or decimal string, or a number.
-
-    Binary floats convert to the exact rational value of the float.
-    """
-    return _as_fraction(value)
 
 
 def format_rational(value: Fraction) -> str:
@@ -95,6 +87,11 @@ class Measure:
 def _require_same_events(mu: Measure, nu: Measure):
     if mu.events.labels != nu.events.labels:
         raise InputError("measures live on different event sets")
+
+
+def _require_measures_on(space: CausalSpace, mu: Measure, nu: Measure):
+    if mu.events.labels != space.events.labels or nu.events.labels != space.events.labels:
+        raise InputError("measures live on a different event set than the space")
 
 
 def measure(events: EventSet, weights: Mapping[str, object]) -> Measure:
@@ -162,6 +159,6 @@ def measure_from_jsonable(obj, events: EventSet) -> Measure:
 def measure_to_jsonable(mu: Measure) -> dict:
     return {
         "weights": {
-            lab: format_rational(w) for lab, w in zip(mu.events.labels, mu.weights) if w
+            lab: str(w) for lab, w in zip(mu.events.labels, mu.weights) if w
         }
     }

@@ -46,7 +46,11 @@ __all__ = [
 # keeps every coordinate an exact rational while remaining effectively uniform.
 SPRINKLE_GRID = 10**6
 
+# Largest event count the exhaustive subset and up-set scans accept.
 DEFAULT_UPSET_BOUND = 20
+
+# Seeds are unsigned 64-bit integers; derived seeds are drawn below this span.
+SEED_SPAN = 2**64
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -57,11 +61,16 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _as_fraction(value) -> Fraction:
-    """Exact conversion at the I/O boundary.
+def _check_bound(what: str, n: int, max_events: int):
+    if n > max_events:
+        raise BoundExceededError(f"{what} refuses n={n} events (bound {max_events})")
 
-    Decimal or ``p/q`` strings become the exact rational they denote; binary
-    floats become the exact rational value of the float.
+
+def parse_rational(value) -> Fraction:
+    """Exact rational from a ``"p/q"``, integer, or decimal string, or a number.
+
+    Binary floats convert to the exact rational value of the float; infinite
+    and NaN floats are rejected.
     """
     if isinstance(value, Fraction):
         return value
@@ -70,7 +79,7 @@ def _as_fraction(value) -> Fraction:
     if isinstance(value, (int, str, float)):
         try:
             return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
             raise InputError(f"not a valid rational: {value!r}") from exc
     raise InputError(f"expected a number, got {value!r}")
 
@@ -168,12 +177,16 @@ class CausalRelation:
         return True
 
     @cached_property
-    def antisymmetric(self) -> bool:
+    def _cycle_pair(self) -> tuple[int, int] | None:
         for i, row in enumerate(self.rows):
             for j in iter_bits(row):
                 if j != i and self.rows[j] >> i & 1:
-                    return False
-        return True
+                    return i, j
+        return None
+
+    @cached_property
+    def antisymmetric(self) -> bool:
+        return self._cycle_pair is None
 
     @cached_property
     def transpose(self) -> "CausalRelation":
@@ -274,9 +287,7 @@ def enumerate_upsets(space: CausalSpace, max_events: int = DEFAULT_UPSET_BOUND) 
 
 
 def upset_masks(space: CausalSpace, max_events: int = DEFAULT_UPSET_BOUND) -> Iterator[int]:
-    n = space.n
-    if n > max_events:
-        raise BoundExceededError(f"up-set enumeration refuses n={n} events (bound {max_events})")
+    _check_bound("up-set enumeration", space.n, max_events)
     return _upset_masks(space)
 
 
@@ -299,12 +310,9 @@ def _upset_masks(space: CausalSpace) -> Iterator[int]:
 
 def find_cycle_pair(space: CausalSpace) -> tuple[str, str] | None:
     """A pair of distinct events preceding each other, if any."""
-    rows = space.kplus.rows
-    for i in range(space.n):
-        for j in iter_bits(rows[i]):
-            if j != i and rows[j] >> i & 1:
-                return (space.events.labels[i], space.events.labels[j])
-    return None
+    pair = space.kplus._cycle_pair
+    labels = space.events.labels
+    return None if pair is None else (labels[pair[0]], labels[pair[1]])
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +354,7 @@ class GeneratorSpec:
                 raise InputError("random-dag generator needs n, edge probability, and seed")
         else:
             raise InputError(f"unknown generator kind: {self.kind!r}")
-        if self.seed is not None and not 0 <= self.seed < 2**64:
+        if self.seed is not None and not 0 <= self.seed < SEED_SPAN:
             raise InputError("seed must be a 64-bit unsigned integer")
 
 
@@ -400,7 +408,7 @@ def _cone_rows(points: Sequence[tuple[Fraction, ...]]) -> tuple[int, ...]:
 
 
 def minkowski_space(points: Sequence[Sequence], labels: Sequence[str] | None = None) -> CausalSpace:
-    pts = tuple(tuple(_as_fraction(c) for c in point) for point in points)
+    pts = tuple(tuple(parse_rational(c) for c in point) for point in points)
     if not pts:
         raise InputError("minkowski generator needs at least one point")
     if len({len(p) for p in pts}) != 1 or len(pts[0]) < 2:
@@ -421,7 +429,7 @@ def sprinkle_space(
         raise InputError("sprinkle needs at least one event")
     if dim < 2:
         raise InputError("sprinkle dimension must be at least 2 (time plus space)")
-    bounds = tuple((_as_fraction(lo), _as_fraction(hi)) for lo, hi in box)
+    bounds = tuple((parse_rational(lo), parse_rational(hi)) for lo, hi in box)
     if len(bounds) != dim:
         raise InputError("box must provide one [lo, hi] interval per dimension")
     if any(lo > hi for lo, hi in bounds):
@@ -476,19 +484,21 @@ def generator_spec_from_jsonable(obj) -> GeneratorSpec:
         raise InputError("spacetime spec must be a JSON object")
     if "kind" in obj:
         kind = obj["kind"]
+        if not isinstance(obj.get("events", []), list):
+            raise InputError("spacetime spec 'events' must be a list of labels")
         labels = tuple(obj["events"]) if "events" in obj else None
         if kind == "minkowski":
             points = obj.get("points")
-            if not isinstance(points, list):
+            if not isinstance(points, list) or not all(isinstance(p, list) for p in points):
                 raise InputError("minkowski spec needs a list of points")
             return GeneratorSpec(
                 kind="minkowski",
                 labels=labels,
-                points=tuple(tuple(_as_fraction(c) for c in point) for point in points),
+                points=tuple(tuple(parse_rational(c) for c in point) for point in points),
             )
         if kind == "sprinkle":
             try:
-                box = tuple((_as_fraction(lo), _as_fraction(hi)) for lo, hi in obj["box"])
+                box = tuple((parse_rational(lo), parse_rational(hi)) for lo, hi in obj["box"])
                 return GeneratorSpec(
                     kind="sprinkle",
                     labels=labels,
@@ -497,7 +507,7 @@ def generator_spec_from_jsonable(obj) -> GeneratorSpec:
                     box=box,
                     seed=int(obj["seed"]),
                 )
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise InputError(f"malformed sprinkle spec: {exc}") from exc
         if kind == "random-dag":
             try:
@@ -505,10 +515,10 @@ def generator_spec_from_jsonable(obj) -> GeneratorSpec:
                     kind="random-dag",
                     labels=labels,
                     n=int(obj["n"]),
-                    edge_prob=float(_as_fraction(obj["p"])),
+                    edge_prob=float(parse_rational(obj["p"])),
                     seed=int(obj["seed"]),
                 )
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise InputError(f"malformed random-dag spec: {exc}") from exc
         if kind == "explicit":
             return _explicit_spec(obj.get("events"), obj.get("pairs"))

@@ -16,9 +16,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
-from .errors import BoundExceededError, InputError, NotStablyCausalError
-from .measures import Measure, format_rational, integrate, parse_rational
-from .structure import CausalSpace, EventSet, find_cycle_pair, iter_bits, upset_masks
+from .errors import InputError, NotStablyCausalError
+from .measures import Measure, _require_measures_on, integrate, parse_rational
+from .structure import (
+    DEFAULT_UPSET_BOUND,
+    SEED_SPAN,
+    CausalSpace,
+    EventSet,
+    _check_bound,
+    find_cycle_pair,
+    iter_bits,
+)
+from .transport import _heavier_upset
 
 __all__ = [
     "TimeFunction",
@@ -38,8 +47,6 @@ __all__ = [
 ]
 
 DEFAULT_ENUMERATION_BOUND = 8
-
-SEED_SPAN = 2**64
 
 
 @dataclass(frozen=True)
@@ -76,11 +83,6 @@ def _require_stably_causal(space: CausalSpace):
     pair = find_cycle_pair(space)
     if pair is not None:
         raise NotStablyCausalError(pair)
-
-
-def _require_measures_on(space: CausalSpace, mu: Measure, nu: Measure):
-    if mu.events.labels != space.events.labels or nu.events.labels != space.events.labels:
-        raise InputError("measures live on a different event set than the space")
 
 
 def is_strictly_monotone(space: CausalSpace, timefn: TimeFunction) -> bool:
@@ -120,24 +122,30 @@ def _strict_predecessor_masks(space: CausalSpace) -> list[int]:
 
 def _linear_extensions(space: CausalSpace) -> Iterator[tuple[int, ...]]:
     # Streams extensions in lexicographic order of event indices; the first
-    # one is the greedy minimal-index topological order.
+    # one is the greedy minimal-index topological order.  Backtracking is
+    # iterative, so no recursion limit caps the number of events.
     n = space.n
     preds = _strict_predecessor_masks(space)
     order: list[int] = []
-
-    def extend(placed: int) -> Iterator[tuple[int, ...]]:
+    placed = 0
+    start = 0  # first candidate to try at the current depth
+    while True:
+        for j in range(start, n):
+            if not (placed >> j & 1 or preds[j] & ~placed):
+                order.append(j)
+                placed |= 1 << j
+                start = 0
+                break
+        else:
+            if not order:
+                return
+            j = order.pop()
+            placed ^= 1 << j
+            start = j + 1
+            continue
         if len(order) == n:
             yield tuple(order)
-            return
-        for j in range(n):
-            bit = 1 << j
-            if placed & bit or preds[j] & ~placed:
-                continue
-            order.append(j)
-            yield from extend(placed | bit)
-            order.pop()
-
-    return extend(0)
+            start = n  # nothing left to place: backtrack
 
 
 def _rank_values(space: CausalSpace, order: tuple[int, ...]) -> TimeFunction:
@@ -163,10 +171,7 @@ def enumerate_time_functions(
     induces the same superlevel sets as one of these.
     """
     _require_stably_causal(space)
-    if space.n > max_events:
-        raise BoundExceededError(
-            f"extension enumeration refuses n={space.n} events (bound {max_events})"
-        )
+    _check_bound("extension enumeration", space.n, max_events)
     return [_rank_values(space, order) for order in _linear_extensions(space)]
 
 
@@ -227,17 +232,19 @@ def indicator_time_function(space: CausalSpace, subset: Iterable[str], epsilon=N
     if not space.is_upset_mask(mask):
         raise InputError("indicator construction needs a future-closed subset")
     t0 = rank_time_function(space)
-    spread = max(t0.values) - min(t0.values)
-    if epsilon is None:
-        epsilon = Fraction(1, 2) / (1 + spread)
-    else:
-        epsilon = parse_rational(epsilon)
-    if not (epsilon > 0 and epsilon * spread < Fraction(1, 2)):
+    epsilon = _default_epsilon(space) if epsilon is None else parse_rational(epsilon)
+    if not (epsilon > 0 and epsilon * (space.n - 1) < Fraction(1, 2)):
         raise InputError("epsilon must be positive and keep the perturbation below 1/2")
     values = tuple(
         (1 if mask >> i & 1 else 0) + epsilon * t0.values[i] for i in range(space.n)
     )
     return TimeFunction(events=space.events, values=values)
+
+
+def _default_epsilon(space: CausalSpace) -> Fraction:
+    # The rank extension takes the values 0..n-1: its spread is n - 1, and
+    # 1 / (2 * (1 + spread)) is 1 / (2n).
+    return Fraction(1, 2 * space.n)
 
 
 def _thresholds(values: tuple[Fraction, ...], closed: bool) -> list[Fraction]:
@@ -262,11 +269,11 @@ def _superlevels_dominated(mu: Measure, nu: Measure, timefn: TimeFunction, close
 
 
 def _sampled_timefns(space: CausalSpace, samples: int, seed: int) -> Iterator[TimeFunction]:
+    # The count is checked now; the samples are drawn as they are consumed.
     if samples < 1:
         raise InputError("sample count must be positive")
     rng = random.Random(seed)
-    for _ in range(samples):
-        yield sample_time_function(space, rng.randrange(SEED_SPAN))
+    return (sample_time_function(space, rng.randrange(SEED_SPAN)) for _ in range(samples))
 
 
 def condition4_check(
@@ -306,7 +313,7 @@ def condition5_check(
     mode: str = "exact",
     samples: int = 32,
     seed: int = 0,
-    max_events: int = 20,
+    max_events: int = DEFAULT_UPSET_BOUND,
 ) -> bool:
     """Integral inequality ``integrate(mu, t) <= integrate(nu, t)`` over time functions.
 
@@ -325,20 +332,16 @@ def condition5_check(
         )
     if mode != "exact":
         raise InputError(f"unknown mode: {mode!r}")
-    for mask in upset_masks(space, max_events):
-        gap = mu.mass_of_mask(mask) - nu.mass_of_mask(mask)
-        if gap > 0:
-            t0 = rank_time_function(space)
-            spread = max(t0.values) - min(t0.values)
-            witness = indicator_time_function(
-                space,
-                space.events.labels_of(mask),
-                epsilon=gap * Fraction(1, 2) / (1 + spread),
-            )
-            if integrate(mu, witness) <= integrate(nu, witness):
-                raise AssertionError("perturbed indicator failed to witness the violation")
-            return False
-    return True
+    violation = _heavier_upset(space, mu, nu, max_events)
+    if violation is None:
+        return True
+    mask, gap = violation
+    witness = indicator_time_function(
+        space, space.events.labels_of(mask), epsilon=gap * _default_epsilon(space)
+    )
+    if integrate(mu, witness) <= integrate(nu, witness):
+        raise AssertionError("perturbed indicator failed to witness the violation")
+    return False
 
 
 def minguzzi_check(
@@ -353,10 +356,7 @@ def minguzzi_check(
     causal future of ``p``.
     """
     _require_stably_causal(space)
-    if space.n > max_events:
-        raise BoundExceededError(
-            f"extension enumeration refuses n={space.n} events (bound {max_events})"
-        )
+    _check_bound("extension enumeration", space.n, max_events)
     i = space.events.index_of(p)
     j = space.events.index_of(q)
     if i == j:
@@ -373,7 +373,7 @@ def minguzzi_check(
 
 def timefn_to_jsonable(timefn: TimeFunction) -> dict:
     labels = timefn.events.labels
-    return {"values": {labels[i]: format_rational(v) for i, v in enumerate(timefn.values)}}
+    return {"values": {labels[i]: str(v) for i, v in enumerate(timefn.values)}}
 
 
 def timefn_from_jsonable(obj, space: CausalSpace) -> TimeFunction:

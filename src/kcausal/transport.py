@@ -18,9 +18,9 @@ from itertools import combinations
 from math import lcm
 from typing import Iterable, Mapping
 
-from .errors import BoundExceededError, InputError
-from .measures import Measure, format_rational, parse_rational
-from .structure import CausalSpace, EventSet, upset_masks
+from .errors import InputError
+from .measures import Measure, _require_measures_on, _require_same_events, parse_rational
+from .structure import DEFAULT_UPSET_BOUND, CausalSpace, EventSet, _check_bound, upset_masks
 
 __all__ = [
     "Coupling",
@@ -40,8 +40,6 @@ __all__ = [
     "coupling_to_jsonable",
     "certificate_to_jsonable",
 ]
-
-DEFAULT_ORACLE_BOUND = 20
 
 
 @dataclass(frozen=True)
@@ -126,8 +124,7 @@ def identity_coupling(mu: Measure) -> Coupling:
 
 
 def product_coupling(mu: Measure, nu: Measure) -> Coupling:
-    if mu.events.labels != nu.events.labels:
-        raise InputError("measures live on different event sets")
+    _require_same_events(mu, nu)
     entries = tuple(
         (i, j, a * b)
         for i, a in enumerate(mu.weights)
@@ -226,11 +223,6 @@ class Certificate:
         return self.verdict == "feasible"
 
 
-def _require_measures_on(space: CausalSpace, mu: Measure, nu: Measure):
-    if mu.events.labels != space.events.labels or nu.events.labels != space.events.labels:
-        raise InputError("measures live on a different event set than the space")
-
-
 def decide_k_causal(space: CausalSpace, mu: Measure, nu: Measure) -> Certificate:
     """Decide whether ``mu`` precedes ``nu`` along the closure, with certificate.
 
@@ -239,7 +231,8 @@ def decide_k_causal(space: CausalSpace, mu: Measure, nu: Measure) -> Certificate
     -> sink (capacity ``nu``).  Feasible iff the max flow is exactly 1; the
     witness reads off the middle-arc flows, the violator reads off the events
     on the source side of the residual min cut.  All arithmetic is integer
-    after scaling by the common denominator of both measures.
+    after scaling by the common denominator of both measures.  Either
+    certificate is checked before it is returned (``AssertionError`` if not).
     """
     _require_measures_on(space, mu, nu)
     den = lcm(mu._common_denominator, nu._common_denominator)
@@ -290,6 +283,8 @@ def decide_k_causal(space: CausalSpace, mu: Measure, nu: Measure) -> Certificate
             if arc_cap[arc ^ 1]
         )
         witness = Coupling(events=space.events, entries=entries)
+        if not verify_coupling(space, witness, mu, nu):
+            raise AssertionError("flow decomposition produced an invalid witness coupling")
         return Certificate(verdict="feasible", witness=witness)
 
     reachable = _residual_reachable(graph, arc_to, arc_cap, source)
@@ -378,7 +373,7 @@ def strassen_check(
     space: CausalSpace,
     mu: Measure,
     nu: Measure,
-    max_events: int = DEFAULT_ORACLE_BOUND,
+    max_events: int = DEFAULT_UPSET_BOUND,
 ) -> tuple[bool, frozenset[str] | None]:
     """Brute-force feasibility oracle over every event subset.
 
@@ -388,8 +383,7 @@ def strassen_check(
     """
     _require_measures_on(space, mu, nu)
     n = space.n
-    if n > max_events:
-        raise BoundExceededError(f"subset oracle refuses n={n} events (bound {max_events})")
+    _check_bound("subset oracle", n, max_events)
     order = sorted(range(n), key=lambda i: space.events.labels[i])
     for size in range(n + 1):
         for combo in combinations(order, size):
@@ -407,7 +401,7 @@ def condition2_check(
     space: CausalSpace,
     mu: Measure,
     nu: Measure,
-    max_events: int = DEFAULT_ORACLE_BOUND,
+    max_events: int = DEFAULT_UPSET_BOUND,
 ) -> bool:
     """Future-mass inequality ``mu(future of C) <= nu(future of C)`` over all subsets.
 
@@ -415,10 +409,8 @@ def condition2_check(
     full power set.
     """
     _require_measures_on(space, mu, nu)
-    n = space.n
-    if n > max_events:
-        raise BoundExceededError(f"subset check refuses n={n} events (bound {max_events})")
-    for mask in range(1 << n):
+    _check_bound("subset check", space.n, max_events)
+    for mask in range(1 << space.n):
         future = space.future_mask(mask)
         if mu.mass_of_mask(future) > nu.mass_of_mask(future):
             return False
@@ -429,14 +421,20 @@ def condition3_check(
     space: CausalSpace,
     mu: Measure,
     nu: Measure,
-    max_events: int = DEFAULT_ORACLE_BOUND,
+    max_events: int = DEFAULT_UPSET_BOUND,
 ) -> bool:
     """Up-set mass inequality ``mu(X) <= nu(X)`` over all future-closed subsets."""
     _require_measures_on(space, mu, nu)
+    return _heavier_upset(space, mu, nu, max_events) is None
+
+
+def _heavier_upset(space, mu, nu, max_events: int) -> tuple[int, Fraction] | None:
+    """First up-set mask, in increasing mask order, with ``mu(X) > nu(X)``, and the gap."""
     for mask in upset_masks(space, max_events):
-        if mu.mass_of_mask(mask) > nu.mass_of_mask(mask):
-            return False
-    return True
+        gap = mu.mass_of_mask(mask) - nu.mass_of_mask(mask)
+        if gap > 0:
+            return mask, gap
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +443,7 @@ def condition3_check(
 
 def coupling_to_jsonable(omega: Coupling) -> dict:
     labels = omega.events.labels
-    pairs = sorted([labels[i], labels[j], format_rational(w)] for i, j, w in omega.entries)
+    pairs = sorted([labels[i], labels[j], str(w)] for i, j, w in omega.entries)
     return {"pairs": pairs}
 
 
@@ -468,6 +466,6 @@ def certificate_to_jsonable(cert: Certificate) -> dict:
     return {
         "verdict": "infeasible",
         "violator": sorted(cert.violator),
-        "mu_B": format_rational(cert.mu_B),
-        "nu_KplusB": format_rational(cert.nu_kplus_B),
+        "mu_B": str(cert.mu_B),
+        "nu_KplusB": str(cert.nu_kplus_B),
     }

@@ -290,6 +290,47 @@ class TestUsage:
         assert run_cli("frobnicate").returncode == 2
 
 
+class TestMalformedJson:
+    def test_explicit_spec_with_scalar_events(self, tmp_path):
+        space = write(tmp_path, "space.json", {"kind": "explicit", "events": 5, "pairs": []})
+        mu = write(tmp_path, "mu.json", DIRAC_A)
+        result = run_cli("check", space, mu, mu)
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+
+    def test_minkowski_spec_with_scalar_points(self, tmp_path):
+        space = write(tmp_path, "space.json", {"kind": "minkowski", "points": [5, 6]})
+        mu = write(tmp_path, "mu.json", DIRAC_A)
+        result = run_cli("check", space, mu, mu)
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+
+    def test_weight_overflowing_a_float(self, tmp_path):
+        space = write(tmp_path, "space.json", CHAIN2)
+        mu = tmp_path / "mu.json"
+        mu.write_text('{"weights": {"a": 1e400}}', encoding="utf-8")
+        result = run_cli("check", space, str(mu), str(mu))
+        assert result.returncode == 2
+        assert "not a valid rational" in result.stderr
+
+
+class TestInternalFailure:
+    def test_assertion_exits_three(self, tmp_path, monkeypatch, capsys):
+        from kcausal import cli
+
+        def broken(*args):
+            raise AssertionError("forced failure")
+
+        monkeypatch.setattr(cli, "decide_k_causal", broken)
+        space = write(tmp_path, "space.json", CHAIN2)
+        mu = write(tmp_path, "mu.json", DIRAC_A)
+        nu = write(tmp_path, "nu.json", DIRAC_B)
+        assert cli.main(["check", space, mu, nu]) == 3
+        err = capsys.readouterr().err
+        assert "forced failure" in err
+        assert "this is a bug" in err
+
+
 class TestArtifactsFeedBackIntoTheApi:
     def test_witness_file_verifies(self, tmp_path):
         space_path = write(tmp_path, "space.json", CHAIN3)

@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kcausal import (
     BoundExceededError,
@@ -32,11 +34,13 @@ from kcausal import (
     random_measure,
     rank_time_function,
     sample_time_function,
+    sprinkle_space,
     time_function,
     timefn_from_jsonable,
     timefn_to_jsonable,
     uniform_measure,
 )
+from kcausal.timefunctions import _linear_extensions, _strict_predecessor_masks
 
 
 def random_poset(rng: random.Random, lo: int = 2, hi: int = 6):
@@ -90,6 +94,53 @@ class TestEnumeration:
     def test_rank_time_function_is_first(self, diamond):
         first = enumerate_time_functions(diamond)[0]
         assert rank_time_function(diamond).values == first.values
+
+
+def recursive_linear_extensions(space):
+    """Reference for ``_linear_extensions``: the recursive backtracking it replaced.
+
+    Yields every linear extension in lexicographic order of event indices.
+    """
+    n = space.n
+    preds = _strict_predecessor_masks(space)
+    order = []
+
+    def extend(placed):
+        if len(order) == n:
+            yield tuple(order)
+            return
+        for j in range(n):
+            bit = 1 << j
+            if placed & bit or preds[j] & ~placed:
+                continue
+            order.append(j)
+            yield from extend(placed | bit)
+            order.pop()
+
+    return extend(0)
+
+
+@st.composite
+def small_orders(draw):
+    n = draw(st.integers(min_value=1, max_value=7))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    if draw(st.booleans()):
+        return sprinkle_space(n=n, dim=2, box=((0, 1), (-1, 1)), seed=seed)
+    edge_prob = draw(st.sampled_from([0.0, 0.1, 0.3, 0.6, 1.0]))
+    return random_dag_space(n=n, edge_prob=edge_prob, seed=seed)
+
+
+class TestIterativeExtensions:
+    @settings(max_examples=80, deadline=None)
+    @given(small_orders())
+    def test_matches_recursive_reference(self, space):
+        assert list(_linear_extensions(space)) == list(recursive_linear_extensions(space))
+
+    def test_rank_time_function_past_the_recursion_limit(self):
+        space = random_dag_space(1500, 0.01, 3)
+        t = rank_time_function(space)
+        assert sorted(t.values) == list(range(1500))
+        assert is_strictly_monotone(space, t)
 
 
 class TestSampling:

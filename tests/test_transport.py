@@ -170,6 +170,13 @@ class TestCertificateSoundness:
                 mask = space.events.mask_of(cert.violator)
                 assert mu.mass_of_mask(mask) > nu.mass_of_mask(space.future_mask(mask))
 
+    def test_witness_is_checked_before_it_is_returned(self, chain2, monkeypatch):
+        import kcausal.transport as transport
+
+        monkeypatch.setattr(transport, "verify_coupling", lambda *args: False)
+        with pytest.raises(AssertionError):
+            decide_k_causal(chain2, dirac(chain2.events, "a"), dirac(chain2.events, "b"))
+
     def test_certificate_shape_validation(self, chain2):
         from kcausal import Certificate
 

@@ -49,7 +49,10 @@ __all__ = ["main"]
 
 def _load_json(path: str):
     with open(path, encoding="utf-8") as handle:
-        return json.load(handle)
+        try:
+            return json.load(handle)
+        except RecursionError as exc:
+            raise InputError(f"{path}: JSON nested too deeply") from exc
 
 
 def _write(text: str, path: str | None):

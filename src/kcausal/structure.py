@@ -10,6 +10,7 @@ topologically closed, so no separate closure step is needed or modeled.
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -52,6 +53,10 @@ DEFAULT_UPSET_BOUND = 20
 # Seeds are unsigned 64-bit integers; derived seeds are drawn below this span.
 SEED_SPAN = 2**64
 
+# Rows handled per numpy block when relation rows are computed or re-indexed;
+# bounds each temporary to ROW_BLOCK x n entries instead of n x n.
+ROW_BLOCK = 256
+
 
 def iter_bits(mask: int) -> Iterator[int]:
     """Yield the set bit positions of ``mask`` in increasing order."""
@@ -70,18 +75,34 @@ def parse_rational(value) -> Fraction:
     """Exact rational from a ``"p/q"``, integer, or decimal string, or a number.
 
     Binary floats convert to the exact rational value of the float; infinite
-    and NaN floats are rejected.
+    and NaN floats are rejected.  A decimal exponent larger in magnitude than
+    the interpreter's integer digit limit is rejected too: the exact value
+    would have that many digits, and building it takes time that grows with
+    the exponent.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
         raise InputError(f"expected a number, got {value!r}")
+    if isinstance(value, str) and _exponent_exceeds_digit_limit(value):
+        raise InputError(f"decimal exponent too large: {value!r}")
     if isinstance(value, (int, str, float)):
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError, OverflowError) as exc:
             raise InputError(f"not a valid rational: {value!r}") from exc
     raise InputError(f"expected a number, got {value!r}")
+
+
+def _exponent_exceeds_digit_limit(text: str) -> bool:
+    _, marker, exponent = text.lower().partition("e")
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not marker or not limit:
+        return False
+    try:
+        return abs(int(exponent)) > limit
+    except ValueError:  # not an exponent; Fraction decides whether the text parses
+        return False
 
 
 @dataclass(frozen=True)
@@ -376,35 +397,82 @@ def _cone_rows(points: Sequence[tuple[Fraction, ...]]) -> tuple[int, ...]:
 
     Decided exactly as ``dt >= 0 and dt^2 >= sum(dx_i^2)`` after scaling all
     coordinates to a common integer denominator, so no square root is taken.
+    The int64 path works ROW_BLOCK rows at a time; coordinates too fine for
+    int64 fall back to Python integers.
     """
     n = len(points)
     dim = len(points[0])
     den = lcm(*(c.denominator for point in points for c in point)) if points else 1
     scaled = [[int(c * den) for c in point] for point in points]
     peak = max((abs(c) for row in scaled for c in row), default=0)
-    rows = [0] * n
     if n > 1 and (2 * peak) ** 2 * max(dim - 1, 1) < 2**62:
         arr = np.array(scaled, dtype=np.int64)
-        dt = arr[None, :, 0] - arr[:, None, 0]
-        sq = np.zeros((n, n), dtype=np.int64)
-        for axis in range(1, dim):
-            dx = arr[None, :, axis] - arr[:, None, axis]
-            sq += dx * dx
-        rel = (dt >= 0) & (dt * dt >= sq)
-        for i in range(n):
-            packed = np.packbits(rel[i], bitorder="little").tobytes()
-            rows[i] = int.from_bytes(packed, "little")
-    else:
-        for i in range(n):
-            pi = scaled[i]
-            for j in range(n):
-                dt = scaled[j][0] - pi[0]
-                if dt < 0:
-                    continue
-                sq = sum((scaled[j][a] - pi[a]) ** 2 for a in range(1, dim))
-                if dt * dt >= sq:
-                    rows[i] |= 1 << j
+        rows: list[int] = []
+        for lo in range(0, n, ROW_BLOCK):
+            block = arr[lo : lo + ROW_BLOCK]
+            dt = arr[None, :, 0] - block[:, None, 0]
+            sq = np.zeros_like(dt)
+            for axis in range(1, dim):
+                dx = arr[None, :, axis] - block[:, None, axis]
+                sq += dx * dx
+            rows.extend(_packed_rows((dt >= 0) & (dt * dt >= sq)))
+        return tuple(rows)
+    rows = [0] * n
+    for i in range(n):
+        pi = scaled[i]
+        for j in range(n):
+            dt = scaled[j][0] - pi[0]
+            if dt < 0:
+                continue
+            sq = sum((scaled[j][a] - pi[a]) ** 2 for a in range(1, dim))
+            if dt * dt >= sq:
+                rows[i] |= 1 << j
     return tuple(rows)
+
+
+def _packed_rows(block: np.ndarray) -> list[int]:
+    """One bitmask row per row of a boolean matrix; column ``j`` becomes bit ``j``."""
+    packed = np.packbits(block, axis=1, bitorder="little")
+    width = packed.shape[1]
+    data = packed.tobytes()
+    return [int.from_bytes(data[lo : lo + width], "little") for lo in range(0, len(data), width)]
+
+
+def _order_links(rows: Sequence[int], members: Sequence[int]) -> tuple[list[list[int]], list[list[int]]]:
+    """Classes of the closed relation ``rows`` on ``members``, and their covering pairs.
+
+    Events are in one class when their rows are equal, i.e. when they precede
+    each other.  Classes come in topological order (row popcount descending,
+    then first member), and ``links[k]`` lists, in increasing order, the
+    classes that cover class ``k``: those above it with no class strictly
+    between.  Reachability along links is the relation restricted to
+    ``members``.  Rows are re-indexed to class positions ROW_BLOCK at a time.
+    """
+    by_row: dict[int, list[int]] = {}
+    for i in members:
+        by_row.setdefault(rows[i], []).append(i)
+    classes = sorted(by_row.values(), key=lambda m: -rows[m[0]].bit_count())
+    reps = [m[0] for m in classes]
+    columns = np.array(reps, dtype=np.intp)
+    width = (len(rows) + 7) // 8
+    ranked: list[int] = []
+    for lo in range(0, len(reps), ROW_BLOCK):
+        block = reps[lo : lo + ROW_BLOCK]
+        raw = b"".join([rows[r].to_bytes(width, "little") for r in block])
+        bytes_ = np.frombuffer(raw, dtype=np.uint8).reshape(len(block), width)
+        bits = np.unpackbits(bytes_, axis=1, bitorder="little")
+        ranked.extend(_packed_rows(bits[:, columns]))
+    # The lowest class still above k is a cover; everything above it is not.
+    links = []
+    for k, row in enumerate(ranked):
+        rest = row & ~(1 << k)
+        covers = []
+        while rest:
+            q = (rest & -rest).bit_length() - 1
+            covers.append(q)
+            rest &= ~ranked[q]
+        links.append(covers)
+    return classes, links
 
 
 def minkowski_space(points: Sequence[Sequence], labels: Sequence[str] | None = None) -> CausalSpace:
@@ -415,7 +483,9 @@ def minkowski_space(points: Sequence[Sequence], labels: Sequence[str] | None = N
         raise InputError("points must share one dimension of at least 2")
     labs = tuple(labels) if labels is not None else default_labels(len(pts))
     events = EventSet(labels=labs, coords=pts)
-    return CausalSpace.from_raw(events, CausalRelation(len(pts), _cone_rows(pts)))
+    # The closed cone is already reflexive and transitive: it is its own closure.
+    cone = CausalRelation(len(pts), _cone_rows(pts))
+    return CausalSpace(events=events, raw=cone, kplus=cone)
 
 
 def sprinkle_space(

@@ -1,12 +1,12 @@
 """Couplings and the decision procedure for causal precedence of measures.
 
 ``decide_k_causal`` answers whether one measure can be transported onto
-another along the closed causal order, by exact max-flow over the bipartite
-support graph.  A feasible answer carries a witness coupling; an infeasible
-one carries a violating event subset extracted from the min cut, falsifying
-the marginal inequality ``mu(B) <= nu(future of B)``.  ``strassen_check`` is
-the independent brute-force oracle: it tests that inequality and its dual on
-every subset.
+another along the closed causal order, by exact max-flow over the order's
+link graph (its covering pairs) on the support events.  A feasible answer
+carries a witness coupling; an infeasible one carries a violating event
+subset extracted from the min cut, falsifying the marginal inequality
+``mu(B) <= nu(future of B)``.  ``strassen_check`` is the independent
+brute-force oracle: it tests that inequality and its dual on every subset.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Iterable, Mapping
 
 from .errors import InputError
 from .measures import Measure, _require_measures_on, _require_same_events, parse_rational
-from .structure import DEFAULT_UPSET_BOUND, CausalSpace, EventSet, _check_bound, upset_masks
+from .structure import DEFAULT_UPSET_BOUND, CausalSpace, EventSet, _check_bound, _order_links, upset_masks
 
 __all__ = [
     "Coupling",
@@ -226,29 +226,27 @@ class Certificate:
 def decide_k_causal(space: CausalSpace, mu: Measure, nu: Measure) -> Certificate:
     """Decide whether ``mu`` precedes ``nu`` along the closure, with certificate.
 
-    Max-flow on source -> cause (capacity ``mu``), cause -> effect for related
-    pairs (capacity above total mass, so cuts never cross the middle), effect
-    -> sink (capacity ``nu``).  Feasible iff the max flow is exactly 1; the
-    witness reads off the middle-arc flows, the violator reads off the events
-    on the source side of the residual min cut.  All arithmetic is integer
-    after scaling by the common denominator of both measures.  Either
-    certificate is checked before it is returned (``AssertionError`` if not).
+    Max-flow on the link graph of the support events: one node per class of
+    mutually related events, source -> class (capacity ``mu``), class -> sink
+    (capacity ``nu``), and an arc for each covering pair of classes, with
+    capacity above the total mass so cuts never cross it.  Reachability along
+    links is the closure, so by Strassen's theorem ``mu`` precedes ``nu`` iff
+    the max flow is exactly 1.  The witness is an integer decomposition of
+    that flow into packets; the violator is the support of ``mu`` on the
+    source side of the residual min cut.  All arithmetic is integer after
+    scaling by the common denominator of both measures.  Either certificate
+    is checked before it is returned (``AssertionError`` if not).
     """
     _require_measures_on(space, mu, nu)
     den = lcm(mu._common_denominator, nu._common_denominator)
     supply = [int(w * den) for w in mu.weights]
     demand = [int(w * den) for w in nu.weights]
-    lefts = [i for i, s in enumerate(supply) if s]
-    rights = [j for j, d in enumerate(demand) if d]
-    right_pos = {j: k for k, j in enumerate(rights)}
+    support = [i for i in range(space.n) if supply[i] or demand[i]]
+    classes, links = _order_links(space.kplus.rows, support)
 
-    # Node ids: 0 source, 1 sink, then left nodes, then right nodes.
-    node_count = 2 + len(lefts) + len(rights)
+    # Node ids: 0 source, 1 sink, then 2 + k for the k-th class.
     source, sink = 0, 1
-    left_id = {i: 2 + k for k, i in enumerate(lefts)}
-    right_id = {j: 2 + len(lefts) + k for k, j in enumerate(rights)}
-
-    graph: list[list[int]] = [[] for _ in range(node_count)]
+    graph: list[list[int]] = [[] for _ in range(2 + len(classes))]
     arc_to: list[int] = []
     arc_cap: list[int] = []
 
@@ -260,27 +258,28 @@ def decide_k_causal(space: CausalSpace, mu: Measure, nu: Measure) -> Certificate
         arc_to.append(u)
         arc_cap.append(0)
 
-    for i in lefts:
-        add_arc(source, left_id[i], supply[i])
-    for j in rights:
-        add_arc(right_id[j], sink, demand[j])
-    middle_arc: dict[int, tuple[int, int]] = {}
+    for k, members in enumerate(classes):
+        given = taken = 0
+        for i in members:
+            given += supply[i]
+            taken += demand[i]
+        if given:
+            add_arc(source, 2 + k, given)
+        if taken:
+            add_arc(2 + k, sink, taken)
+    link_arcs: list[list[tuple[int, int]]] = [[] for _ in classes]
     sentinel = 2 * den
-    rows = space.kplus.rows
-    for i in lefts:
-        row = rows[i]
-        for j in rights:
-            if row >> j & 1:
-                middle_arc[len(arc_to)] = (i, j)
-                add_arc(left_id[i], right_id[j], sentinel)
+    for k, covers in enumerate(links):
+        for q in covers:
+            link_arcs[k].append((len(arc_to), q))
+            add_arc(2 + k, 2 + q, sentinel)
 
     flow_total = _dinic(graph, arc_to, arc_cap, source, sink)
 
     if flow_total == den:
+        flows = [[(q, arc_cap[arc ^ 1]) for arc, q in arcs] for arcs in link_arcs]
         entries = tuple(
-            (i, j, Fraction(arc_cap[arc ^ 1], den))
-            for arc, (i, j) in middle_arc.items()
-            if arc_cap[arc ^ 1]
+            (i, j, Fraction(amount, den)) for i, j, amount in _packets(classes, supply, demand, flows)
         )
         witness = Coupling(events=space.events, entries=entries)
         if not verify_coupling(space, witness, mu, nu):
@@ -289,9 +288,11 @@ def decide_k_causal(space: CausalSpace, mu: Measure, nu: Measure) -> Certificate
 
     reachable = _residual_reachable(graph, arc_to, arc_cap, source)
     violator_mask = 0
-    for i in lefts:
-        if left_id[i] in reachable:
-            violator_mask |= 1 << i
+    for k, members in enumerate(classes):
+        if 2 + k in reachable:
+            for i in members:
+                if supply[i]:
+                    violator_mask |= 1 << i
     mu_B = mu.mass_of_mask(violator_mask)
     nu_kplus_B = nu.mass_of_mask(space.future_mask(violator_mask))
     if mu_B <= nu_kplus_B:
@@ -302,6 +303,38 @@ def decide_k_causal(space: CausalSpace, mu: Measure, nu: Measure) -> Certificate
         mu_B=mu_B,
         nu_kplus_B=nu_kplus_B,
     )
+
+
+def _packets(classes, supply, demand, flows) -> list[tuple[int, int, int]]:
+    """Split a saturating flow into ``(origin, destination, amount)`` integer packets.
+
+    Classes are visited in topological order.  At each class the packets that
+    arrived over links, coalesced by origin in arrival order, go before the
+    class's own supply; they fill the class's sink demand first, then its
+    links in arc order (``flows[k]`` holds ``(class, flow)`` per link).
+    """
+    arrived: list[dict[int, int]] = [{} for _ in classes]
+    delivered: dict[int, dict[int, int]] = {}
+    for k, members in enumerate(classes):
+        packets = list(arrived[k].items())
+        outflows = []
+        for i in members:
+            if supply[i]:
+                packets.append((i, supply[i]))
+            if demand[i]:
+                outflows.append((delivered.setdefault(i, {}), demand[i]))
+        outflows += [(arrived[q], flow) for q, flow in flows[k] if flow]
+        queue = iter(packets)
+        origin, left = -1, 0
+        for bucket, amount in outflows:
+            while amount:
+                if not left:
+                    origin, left = next(queue)
+                take = min(left, amount)
+                bucket[origin] = bucket.get(origin, 0) + take
+                left -= take
+                amount -= take
+    return [(i, j, amount) for j, bucket in delivered.items() for i, amount in bucket.items()]
 
 
 def _dinic(graph, arc_to, arc_cap, source: int, sink: int) -> int:

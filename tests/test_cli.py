@@ -313,6 +313,14 @@ class TestMalformedJson:
         assert result.returncode == 2
         assert "not a valid rational" in result.stderr
 
+    def test_deeply_nested_json(self, tmp_path):
+        space = tmp_path / "space.json"
+        space.write_text("[" * 100000, encoding="utf-8")
+        result = run_cli("closure", str(space))
+        assert result.returncode == 2
+        assert "nested too deeply" in result.stderr
+        assert "Traceback" not in result.stderr
+
 
 class TestInternalFailure:
     def test_assertion_exits_three(self, tmp_path, monkeypatch, capsys):

@@ -9,15 +9,20 @@ so that no generated spec describes a large space.
 from __future__ import annotations
 
 import json
+import sys
+from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kcausal import (
+    InputError,
     KCausalError,
     coupling_from_jsonable,
     explicit_space,
     measure_from_jsonable,
+    parse_rational,
     space_from_jsonable,
     timefn_from_jsonable,
 )
@@ -99,3 +104,13 @@ def test_coupling_reader(obj):
 def test_timefn_reader(obj, cyclic):
     pairs = [("a", "b"), ("b", "a")] if cyclic else [("a", "b"), ("b", "c")]
     reads_or_refuses(timefn_from_jsonable, obj, explicit_space(LABELS, pairs))
+
+
+def test_decimal_exponent_beyond_the_digit_limit_is_refused():
+    # Building 10**exponent takes time that grows with the exponent; the
+    # interpreter's integer digit limit bounds it.
+    limit = sys.get_int_max_str_digits()
+    assert parse_rational(f"1e-{limit}") == Fraction(1, 10**limit)
+    for text in ("1e1000000", "1E-1000000", f"2.5e+{limit + 1}"):
+        with pytest.raises(InputError):
+            parse_rational(text)

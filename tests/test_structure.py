@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kcausal import (
@@ -34,7 +34,7 @@ from kcausal import (
     sprinkle_space,
     upset_masks,
 )
-from kcausal.structure import SPRINKLE_GRID, find_cycle_pair, iter_bits
+from kcausal.structure import ROW_BLOCK, SPRINKLE_GRID, _cone_rows, find_cycle_pair, iter_bits
 
 
 def pair_set(space, relation="kplus"):
@@ -280,6 +280,60 @@ class TestMinkowski:
         got = pair_set(space, "raw")
         assert ("o", "in") in got      # 4 >= 2
         assert ("o", "out") not in got  # 1 < 2
+
+
+def direct_cone_rows(points):
+    # Reference for the blocked cone rows: the pairwise exact rule, one pair at a time.
+    rows = []
+    for p in points:
+        row = 0
+        for j, q in enumerate(points):
+            dt = q[0] - p[0]
+            if dt >= 0 and dt * dt >= sum((q[a] - p[a]) ** 2 for a in range(1, len(p))):
+                row |= 1 << j
+        rows.append(row)
+    return tuple(rows)
+
+
+@st.composite
+def cone_point_sets(draw):
+    # A coarse grid makes coincident and exactly lightlike pairs common.
+    dim = draw(st.integers(2, 4))
+    coord = st.sampled_from([Fraction(k, 2) for k in range(-3, 4)])
+    point = st.lists(coord, min_size=dim, max_size=dim)
+    return draw(st.lists(point, min_size=1, max_size=9))
+
+
+class TestConeIsItsOwnClosure:
+    @settings(max_examples=150, deadline=None)
+    @given(cone_point_sets())
+    def test_minkowski(self, points):
+        space = minkowski_space(points)
+        assert kplus_closure(space.raw).rows == space.kplus.rows
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 12),
+        st.integers(2, 4),
+        st.integers(0, 2**32 - 1),
+        st.lists(st.sampled_from([(0, 0), (0, 1), (-1, 1), (0, "1/1000000")]), min_size=4, max_size=4),
+    )
+    def test_sprinkle(self, n, dim, seed, box):
+        # Zero-width and very narrow sides make points share coordinates or sit
+        # inside each other's cones, so coincident and chained events are common.
+        space = sprinkle_space(n=n, dim=dim, box=box[:dim], seed=seed)
+        assert kplus_closure(space.raw).rows == space.kplus.rows
+
+
+class TestBlockedConeRows:
+    @pytest.mark.parametrize("extra", [-1, 0, 1, ROW_BLOCK + 1])
+    def test_matches_direct_rule_across_block_boundaries(self, extra):
+        rng = random.Random(extra)
+        dim = 2 + extra % 2
+        grid = [tuple(rng.randint(-4, 4) for _ in range(dim)) for _ in range(ROW_BLOCK + extra)]
+        points = [tuple(Fraction(c, 2) for c in point) for point in grid]
+        # The cone rule is scale-invariant, so the reference may run on the integer grid.
+        assert _cone_rows(points) == direct_cone_rows(grid)
 
 
 class TestSprinkle:

@@ -9,176 +9,20 @@ chain, the subset-inequality characterization, and the time-function
 characterization) on randomly generated instances.
 """
 
-from .errors import (
-    BoundExceededError,
-    InputError,
-    KCausalError,
-    NotStablyCausalError,
-)
-from .harness import (
-    SUITES,
-    TrialConfig,
-    TrialReport,
-    chain_violations,
-    closedness_trial,
-    implication_chain_trial,
-    random_feasible_pair,
-    random_forward_push,
-    random_measure,
-    random_space,
-    report_to_jsonable,
-    run_suite,
-)
-from .measures import (
-    Measure,
-    convex_combination,
-    dirac,
-    format_rational,
-    integrate,
-    measure,
-    measure_from_jsonable,
-    measure_of,
-    measure_to_jsonable,
-    parse_rational,
-    tv_distance,
-    uniform_measure,
-)
-from .structure import (
-    CausalRelation,
-    CausalSpace,
-    EventSet,
-    GeneratorSpec,
-    default_labels,
-    enumerate_upsets,
-    explicit_space,
-    future_set,
-    generate,
-    generator_spec_from_jsonable,
-    is_upset,
-    kplus_closure,
-    lemma_complement_check,
-    minkowski_space,
-    past_set,
-    random_dag_space,
-    space_from_jsonable,
-    space_to_jsonable,
-    sprinkle_space,
-    upset_masks,
-)
-from .timefunctions import (
-    TimeFunction,
-    condition4_check,
-    condition5_check,
-    enumerate_time_functions,
-    future_volume_timefn,
-    indicator_time_function,
-    is_stably_causal,
-    is_strictly_monotone,
-    minguzzi_check,
-    rank_time_function,
-    sample_time_function,
-    time_function,
-    timefn_from_jsonable,
-    timefn_to_jsonable,
-)
-from .transport import (
-    Certificate,
-    Coupling,
-    certificate_to_jsonable,
-    compose_couplings,
-    condition2_check,
-    condition3_check,
-    coupling,
-    coupling_from_jsonable,
-    coupling_to_jsonable,
-    decide_k_causal,
-    identity_coupling,
-    marginals,
-    mix_couplings,
-    product_coupling,
-    strassen_check,
-    verify_coupling,
-)
+# Each library module's __all__ is the one list of its public names; the
+# package republishes exactly those.
+from . import errors, harness, measures, structure, timefunctions, transport
+from .errors import *
+from .harness import *
+from .measures import *
+from .structure import *
+from .timefunctions import *
+from .transport import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundExceededError",
-    "CausalRelation",
-    "CausalSpace",
-    "Certificate",
-    "Coupling",
-    "EventSet",
-    "GeneratorSpec",
-    "InputError",
-    "KCausalError",
-    "Measure",
-    "NotStablyCausalError",
-    "SUITES",
-    "TimeFunction",
-    "TrialConfig",
-    "TrialReport",
-    "certificate_to_jsonable",
-    "chain_violations",
-    "closedness_trial",
-    "compose_couplings",
-    "condition2_check",
-    "condition3_check",
-    "condition4_check",
-    "condition5_check",
-    "convex_combination",
-    "coupling",
-    "coupling_from_jsonable",
-    "coupling_to_jsonable",
-    "decide_k_causal",
-    "default_labels",
-    "dirac",
-    "enumerate_time_functions",
-    "enumerate_upsets",
-    "explicit_space",
-    "format_rational",
-    "future_set",
-    "future_volume_timefn",
-    "generate",
-    "generator_spec_from_jsonable",
-    "identity_coupling",
-    "implication_chain_trial",
-    "indicator_time_function",
-    "integrate",
-    "is_stably_causal",
-    "is_strictly_monotone",
-    "is_upset",
-    "kplus_closure",
-    "lemma_complement_check",
-    "marginals",
-    "measure",
-    "measure_from_jsonable",
-    "measure_of",
-    "measure_to_jsonable",
-    "minguzzi_check",
-    "minkowski_space",
-    "mix_couplings",
-    "parse_rational",
-    "past_set",
-    "product_coupling",
-    "random_dag_space",
-    "random_feasible_pair",
-    "random_forward_push",
-    "random_measure",
-    "random_space",
-    "rank_time_function",
-    "report_to_jsonable",
-    "run_suite",
-    "sample_time_function",
-    "space_from_jsonable",
-    "space_to_jsonable",
-    "sprinkle_space",
-    "strassen_check",
-    "time_function",
-    "timefn_from_jsonable",
-    "timefn_to_jsonable",
-    "tv_distance",
-    "uniform_measure",
-    "upset_masks",
-    "verify_coupling",
-]
+__all__ = sorted(
+    name
+    for module in (errors, harness, measures, structure, timefunctions, transport)
+    for name in module.__all__
+)

@@ -7,10 +7,10 @@ subsets), ``timefn`` (enumerate or sample time functions), ``generate``
 (run the property suites).
 
 Exit codes are a stable contract: 0 = feasible / success, 1 = infeasible or
-not stably causal or failing suites, 2 = input or usage error, 3 = internal
-consistency failure (bug signal).  All emitted
-JSON is byte-deterministic: sorted keys, two-space indent, rationals as
-strings, no timestamps.
+not stably causal or failing suites, 2 = input or usage error (including a
+rational too long to print), 3 = any other internal failure (bug signal).
+All emitted JSON is byte-deterministic: sorted keys, two-space indent,
+rationals as strings, no timestamps.
 """
 
 from __future__ import annotations
@@ -53,6 +53,8 @@ def _load_json(path: str):
             return json.load(handle)
         except RecursionError as exc:
             raise InputError(f"{path}: JSON nested too deeply") from exc
+        except ValueError as exc:  # not JSON, or an integer past the digit limit
+            raise InputError(f"{path}: {exc}") from exc
 
 
 def _write(text: str, path: str | None):
@@ -233,11 +235,11 @@ def main(argv=None) -> int:
     except NotStablyCausalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (KCausalError, OSError, json.JSONDecodeError) as exc:
+    except (KCausalError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except AssertionError as exc:
-        return _bug(f"internal consistency check failed: {exc}")
+    except Exception as exc:  # an internal failure must never read as "infeasible"
+        return _bug(f"internal failure ({type(exc).__name__}): {exc}")
 
 
 if __name__ == "__main__":

@@ -1,5 +1,7 @@
 """Exception types shared across the toolkit."""
 
+__all__ = ["KCausalError", "InputError", "NotStablyCausalError", "BoundExceededError"]
+
 
 class KCausalError(Exception):
     """Base class for all toolkit errors."""

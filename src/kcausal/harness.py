@@ -282,26 +282,18 @@ def closedness_trial(
     return base.feasible
 
 
-def implication_chain_trial(
-    space: CausalSpace,
-    mu: Measure,
-    nu: Measure,
-    subset_bound: int = DEFAULT_UPSET_BOUND,
-    enumeration_bound: int = DEFAULT_ENUMERATION_BOUND,
-) -> dict:
+def implication_chain_trial(space: CausalSpace, mu: Measure, nu: Measure) -> dict:
     """Verdicts of the five feasibility conditions on one instance.
 
     Conditions 4 and 5 are reported as None when the space admits no time
     functions; the others are always defined.
     """
     c1 = decide_k_causal(space, mu, nu).feasible
-    c2 = condition2_check(space, mu, nu, max_events=subset_bound)
-    c3 = condition3_check(space, mu, nu, max_events=subset_bound)
+    c2 = condition2_check(space, mu, nu)
+    c3 = condition3_check(space, mu, nu)
     if is_stably_causal(space):
-        c4 = condition4_check(
-            space, mu, nu, half_line="open", mode="exhaustive", max_events=enumeration_bound
-        )
-        c5 = condition5_check(space, mu, nu, mode="exact", max_events=subset_bound)
+        c4 = condition4_check(space, mu, nu, half_line="open", mode="exhaustive")
+        c5 = condition5_check(space, mu, nu, mode="exact")
     else:
         c4 = None
         c5 = None

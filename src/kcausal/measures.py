@@ -7,6 +7,7 @@ narrow convergence, which it coincides with on a finite discrete space.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -33,7 +34,18 @@ __all__ = [
 
 
 def format_rational(value: Fraction) -> str:
-    return str(value)
+    """``"p/q"`` (or ``"p"``) text of an exact rational; every emitted rational is written here.
+
+    A numerator or denominator past the interpreter's integer-to-string digit
+    limit is refused with ``InputError`` rather than a bare ``ValueError``.
+    """
+    try:
+        return str(value)
+    except ValueError as exc:
+        raise InputError(
+            f"rational too long to print: more than {sys.get_int_max_str_digits()} digits "
+            "(the interpreter's limit; raise it with PYTHONINTMAXSTRDIGITS)"
+        ) from exc
 
 
 @dataclass(frozen=True)
@@ -53,7 +65,7 @@ class Measure:
             raise InputError(f"negative weight on {negatives[0]!r}")
         total = sum(self.weights)
         if total != 1:
-            raise InputError(f"weights sum to {total}, expected exactly 1")
+            raise InputError(f"weights sum to {format_rational(total)}, expected exactly 1")
 
     @cached_property
     def admissible(self) -> bool:
@@ -126,7 +138,7 @@ def convex_combination(lam, mu: Measure, nu: Measure) -> Measure:
     """Pointwise mixture ``lam * mu + (1 - lam) * nu`` for ``lam`` in [0, 1]."""
     lam = parse_rational(lam)
     if not 0 <= lam <= 1:
-        raise InputError(f"mixture coefficient {lam} outside [0, 1]")
+        raise InputError(f"mixture coefficient {format_rational(lam)} outside [0, 1]")
     _require_same_events(mu, nu)
     weights = tuple(lam * a + (1 - lam) * b for a, b in zip(mu.weights, nu.weights))
     return Measure(events=mu.events, weights=weights)
@@ -159,6 +171,6 @@ def measure_from_jsonable(obj, events: EventSet) -> Measure:
 def measure_to_jsonable(mu: Measure) -> dict:
     return {
         "weights": {
-            lab: str(w) for lab, w in zip(mu.events.labels, mu.weights) if w
+            lab: format_rational(w) for lab, w in zip(mu.events.labels, mu.weights) if w
         }
     }

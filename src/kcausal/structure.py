@@ -32,7 +32,8 @@ __all__ = [
     "is_upset",
     "lemma_complement_check",
     "enumerate_upsets",
-    "find_cycle_pair",
+    "upset_masks",
+    "default_labels",
     "explicit_space",
     "minkowski_space",
     "sprinkle_space",

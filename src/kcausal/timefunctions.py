@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
 from .errors import InputError, NotStablyCausalError
-from .measures import Measure, _require_measures_on, integrate, parse_rational
+from .measures import Measure, _require_measures_on, format_rational, integrate, parse_rational
 from .structure import (
     DEFAULT_UPSET_BOUND,
     SEED_SPAN,
@@ -208,7 +208,7 @@ def future_volume_timefn(space: CausalSpace, eta: Measure, lam, y: Iterable[str]
         raise InputError("reference measure must put positive weight on every event")
     lam = parse_rational(lam)
     if not 0 < lam <= 1:
-        raise InputError(f"mixing coefficient must lie in (0, 1], got {lam}")
+        raise InputError(f"mixing coefficient must lie in (0, 1], got {format_rational(lam)}")
     y_mask = space.events.mask_of(y)
     if space.past_mask(y_mask) & ~y_mask:
         raise InputError("the region must be closed under causal pasts")
@@ -373,7 +373,7 @@ def minguzzi_check(
 
 def timefn_to_jsonable(timefn: TimeFunction) -> dict:
     labels = timefn.events.labels
-    return {"values": {labels[i]: str(v) for i, v in enumerate(timefn.values)}}
+    return {"values": {labels[i]: format_rational(v) for i, v in enumerate(timefn.values)}}
 
 
 def timefn_from_jsonable(obj, space: CausalSpace) -> TimeFunction:

@@ -16,10 +16,10 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import lcm
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .errors import InputError
-from .measures import Measure, _require_measures_on, _require_same_events, parse_rational
+from .measures import Measure, _require_measures_on, _require_same_events, format_rational, parse_rational
 from .structure import DEFAULT_UPSET_BOUND, CausalSpace, EventSet, _check_bound, _order_links, upset_masks
 
 __all__ = [
@@ -67,7 +67,7 @@ class Coupling:
                 raise InputError("coupling entries must carry positive weight")
             total += w
         if total != 1:
-            raise InputError(f"coupling mass is {total}, expected exactly 1")
+            raise InputError(f"coupling mass is {format_rational(total)}, expected exactly 1")
         object.__setattr__(self, "entries", tuple(sorted(self.entries)))
 
     def weight(self, cause: str, effect: str) -> Fraction:
@@ -90,9 +90,6 @@ class Coupling:
             Measure(events=self.events, weights=tuple(rows)),
             Measure(events=self.events, weights=tuple(cols)),
         )
-
-    def support_pairs(self) -> Iterable[tuple[int, int]]:
-        return ((i, j) for i, j, _ in self.entries)
 
 
 def coupling(
@@ -185,7 +182,7 @@ def mix_couplings(lam, omega1: Coupling, omega2: Coupling) -> Coupling:
     """
     lam = parse_rational(lam)
     if not 0 <= lam <= 1:
-        raise InputError(f"mixture coefficient {lam} outside [0, 1]")
+        raise InputError(f"mixture coefficient {format_rational(lam)} outside [0, 1]")
     if omega1.events.labels != omega2.events.labels:
         raise InputError("couplings live on different event sets")
     mixed: dict[tuple[int, int], Fraction] = {}
@@ -233,9 +230,10 @@ def decide_k_causal(space: CausalSpace, mu: Measure, nu: Measure) -> Certificate
     links is the closure, so by Strassen's theorem ``mu`` precedes ``nu`` iff
     the max flow is exactly 1.  The witness is an integer decomposition of
     that flow into packets; the violator is the support of ``mu`` on the
-    source side of the residual min cut.  All arithmetic is integer after
-    scaling by the common denominator of both measures.  Either certificate
-    is checked before it is returned (``AssertionError`` if not).
+    source side of the min cut, which Dinic's last level search marks.  All
+    arithmetic is integer after scaling by the common denominator of both
+    measures.  Either certificate is checked before it is returned
+    (``AssertionError`` if not).
     """
     _require_measures_on(space, mu, nu)
     den = lcm(mu._common_denominator, nu._common_denominator)
@@ -267,17 +265,19 @@ def decide_k_causal(space: CausalSpace, mu: Measure, nu: Measure) -> Certificate
             add_arc(source, 2 + k, given)
         if taken:
             add_arc(2 + k, sink, taken)
-    link_arcs: list[list[tuple[int, int]]] = [[] for _ in classes]
-    sentinel = 2 * den
     for k, covers in enumerate(links):
         for q in covers:
-            link_arcs[k].append((len(arc_to), q))
-            add_arc(2 + k, 2 + q, sentinel)
+            add_arc(2 + k, 2 + q, 2 * den)
 
-    flow_total = _dinic(graph, arc_to, arc_cap, source, sink)
+    flow_total, level = _dinic(graph, arc_to, arc_cap, source, sink)
 
     if flow_total == den:
-        flows = [[(q, arc_cap[arc ^ 1]) for arc, q in arcs] for arcs in link_arcs]
+        # A class's link arcs are its forward (even) arcs into class nodes,
+        # in the order they were added; each one's flow sits on its reverse.
+        flows = [
+            [(arc_to[arc] - 2, arc_cap[arc ^ 1]) for arc in arcs if not arc & 1 and arc_to[arc] >= 2]
+            for arcs in graph[2:]
+        ]
         entries = tuple(
             (i, j, Fraction(amount, den)) for i, j, amount in _packets(classes, supply, demand, flows)
         )
@@ -286,10 +286,9 @@ def decide_k_causal(space: CausalSpace, mu: Measure, nu: Measure) -> Certificate
             raise AssertionError("flow decomposition produced an invalid witness coupling")
         return Certificate(verdict="feasible", witness=witness)
 
-    reachable = _residual_reachable(graph, arc_to, arc_cap, source)
     violator_mask = 0
     for k, members in enumerate(classes):
-        if 2 + k in reachable:
+        if level[2 + k] >= 0:
             for i in members:
                 if supply[i]:
                     violator_mask |= 1 << i
@@ -337,7 +336,12 @@ def _packets(classes, supply, demand, flows) -> list[tuple[int, int, int]]:
     return [(i, j, amount) for j, bucket in delivered.items() for i, amount in bucket.items()]
 
 
-def _dinic(graph, arc_to, arc_cap, source: int, sink: int) -> int:
+def _dinic(graph, arc_to, arc_cap, source: int, sink: int) -> tuple[int, list[int]]:
+    """Max-flow value and the last BFS levels.
+
+    The last search fails to reach the sink, so the nodes it levels
+    (``level >= 0``) are the source side of a minimum cut.
+    """
     total = 0
     n = len(graph)
     while True:
@@ -351,7 +355,7 @@ def _dinic(graph, arc_to, arc_cap, source: int, sink: int) -> int:
                     level[v] = level[u] + 1
                     queue.append(v)
         if level[sink] < 0:
-            return total
+            return total, level
         ptr = [0] * n
         while True:
             pushed = _augment(graph, arc_to, arc_cap, level, ptr, source, sink)
@@ -388,18 +392,6 @@ def _augment(graph, arc_to, arc_cap, level, ptr, source: int, sink: int) -> int:
             arc = path.pop()
             u = arc_to[arc ^ 1]
             ptr[u] += 1
-
-
-def _residual_reachable(graph, arc_to, arc_cap, source: int) -> set[int]:
-    seen = {source}
-    queue = [source]
-    for u in queue:
-        for arc in graph[u]:
-            v = arc_to[arc]
-            if arc_cap[arc] and v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return seen
 
 
 def strassen_check(
@@ -476,7 +468,7 @@ def _heavier_upset(space, mu, nu, max_events: int) -> tuple[int, Fraction] | Non
 
 def coupling_to_jsonable(omega: Coupling) -> dict:
     labels = omega.events.labels
-    pairs = sorted([labels[i], labels[j], str(w)] for i, j, w in omega.entries)
+    pairs = sorted([labels[i], labels[j], format_rational(w)] for i, j, w in omega.entries)
     return {"pairs": pairs}
 
 
@@ -499,6 +491,6 @@ def certificate_to_jsonable(cert: Certificate) -> dict:
     return {
         "verdict": "infeasible",
         "violator": sorted(cert.violator),
-        "mu_B": str(cert.mu_B),
-        "nu_KplusB": str(cert.nu_kplus_B),
+        "mu_B": format_rational(cert.mu_B),
+        "nu_KplusB": format_rational(cert.nu_kplus_B),
     }

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 from kcausal import (
     coupling_from_jsonable,
@@ -313,6 +314,14 @@ class TestMalformedJson:
         assert result.returncode == 2
         assert "not a valid rational" in result.stderr
 
+    def test_integer_past_the_digit_limit(self, tmp_path):
+        space = write(tmp_path, "space.json", CHAIN2)
+        mu = tmp_path / "mu.json"
+        mu.write_text('{"weights": {"a": 1%s}}' % ("0" * 5000), encoding="utf-8")
+        result = run_cli("check", space, str(mu), str(mu))
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+
     def test_deeply_nested_json(self, tmp_path):
         space = tmp_path / "space.json"
         space.write_text("[" * 100000, encoding="utf-8")
@@ -320,6 +329,37 @@ class TestMalformedJson:
         assert result.returncode == 2
         assert "nested too deeply" in result.stderr
         assert "Traceback" not in result.stderr
+
+
+class TestRationalTooLongToPrint:
+    def test_certificate_mass_past_the_digit_limit_exits_two(self, tmp_path):
+        # Every weight parses, but the violator's mu_B = 10**-4000 + 3**-8000
+        # has a 7818-digit denominator, past the default limit of 4300.
+        space = write(
+            tmp_path,
+            "space.json",
+            {"events": ["a", "b", "c", "d", "e"], "relation": {"kind": "explicit", "pairs": []}},
+        )
+        tiny_a, tiny_b = Fraction(1, 10**4000), Fraction(1, 3**8000)
+        weights = {"a": tiny_a, "b": tiny_b, "c": Fraction(1, 2) - tiny_a, "d": Fraction(1, 2) - tiny_b}
+        mu = write(tmp_path, "mu.json", {"weights": {k: str(w) for k, w in weights.items()}})
+        nu = write(tmp_path, "nu.json", {"weights": {"c": "1/2", "d": "1/2"}})
+        cert = tmp_path / "cert.json"
+        result = run_cli("check", space, mu, nu, "--certificate", str(cert))
+        assert result.returncode == 2
+        assert result.stderr.count("\n") == 1
+        assert "Traceback" not in result.stderr
+        assert "PYTHONINTMAXSTRDIGITS" in result.stderr
+        assert not cert.exists()
+
+    def test_measure_whose_sum_is_past_the_digit_limit_exits_two(self, tmp_path):
+        space = write(tmp_path, "space.json", CHAIN2)
+        weights = {"a": str(Fraction(1, 10**4000)), "b": str(Fraction(1, 3**4000))}
+        mu = write(tmp_path, "mu.json", {"weights": weights})
+        result = run_cli("check", space, mu, mu)
+        assert result.returncode == 2
+        assert result.stderr.count("\n") == 1
+        assert "PYTHONINTMAXSTRDIGITS" in result.stderr
 
 
 class TestInternalFailure:
@@ -336,6 +376,21 @@ class TestInternalFailure:
         assert cli.main(["check", space, mu, nu]) == 3
         err = capsys.readouterr().err
         assert "forced failure" in err
+        assert "this is a bug" in err
+
+    def test_unexpected_exception_exits_three(self, tmp_path, monkeypatch, capsys):
+        from kcausal import cli
+
+        def broken(*args):
+            raise RuntimeError("stray failure")
+
+        monkeypatch.setattr(cli, "decide_k_causal", broken)
+        space = write(tmp_path, "space.json", CHAIN2)
+        mu = write(tmp_path, "mu.json", DIRAC_A)
+        nu = write(tmp_path, "nu.json", DIRAC_B)
+        assert cli.main(["check", space, mu, nu]) == 3
+        err = capsys.readouterr().err
+        assert "stray failure" in err
         assert "this is a bug" in err
 
 

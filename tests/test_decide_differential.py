@@ -5,6 +5,10 @@ arc from every supported cause to every supported effect it precedes.  The
 link-graph network must give the same verdict and the same minimal min cut,
 so ``violator``, ``mu_B`` and ``nu_kplus_B`` must be identical; its witness
 may differ and must pass ``verify_coupling``.
+
+The reference shares no flow code with ``kcausal``: it runs its own
+Edmonds–Karp max-flow (shortest augmenting paths by BFS; Edmonds & Karp,
+J. ACM 19, 1972) and reads the min cut from its own residual BFS.
 """
 
 from __future__ import annotations
@@ -28,7 +32,39 @@ from kcausal import (
     verify_coupling,
 )
 from kcausal.structure import iter_bits
-from kcausal.transport import _dinic, _residual_reachable
+
+
+def residual_bfs(graph, arc_to, arc_cap, source):
+    """Arc by which each node reachable in the residual graph was first reached."""
+    reached = {source: None}
+    queue = [source]
+    for u in queue:
+        for arc in graph[u]:
+            v = arc_to[arc]
+            if arc_cap[arc] and v not in reached:
+                reached[v] = arc
+                queue.append(v)
+    return reached
+
+
+def edmonds_karp(graph, arc_to, arc_cap, source, sink):
+    """Max-flow value and the residual-reachable nodes once no augmenting path is left."""
+    total = 0
+    while True:
+        reached = residual_bfs(graph, arc_to, arc_cap, source)
+        if sink not in reached:
+            return total, reached
+        path = []
+        v = sink
+        while v != source:
+            arc = reached[v]
+            path.append(arc)
+            v = arc_to[arc ^ 1]
+        bottleneck = min(arc_cap[arc] for arc in path)
+        for arc in path:
+            arc_cap[arc] -= bottleneck
+            arc_cap[arc ^ 1] += bottleneck
+        total += bottleneck
 
 
 def bipartite_decide(space: CausalSpace, mu, nu):
@@ -65,9 +101,9 @@ def bipartite_decide(space: CausalSpace, mu, nu):
         for j in rights:
             if rows[i] >> j & 1:
                 add_arc(left_id[i], right_id[j], 2 * den)
-    if _dinic(graph, arc_to, arc_cap, 0, 1) == den:
+    flow, reachable = edmonds_karp(graph, arc_to, arc_cap, 0, 1)
+    if flow == den:
         return True, None, None, None
-    reachable = _residual_reachable(graph, arc_to, arc_cap, 0)
     mask = 0
     for i in lefts:
         if left_id[i] in reachable:

@@ -1,12 +1,16 @@
-"""Every exhaustive bound and CLI default reads its one defining constant."""
+"""Every exhaustive bound, CLI default and public name has one defining place."""
 
 from __future__ import annotations
 
+import ast
+import importlib
 import inspect
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
+import kcausal
 from kcausal import (
     TrialConfig,
     condition2_check,
@@ -57,3 +61,89 @@ def test_cli_defaults_read_the_constants():
         defaults["seed"],
         defaults["max_events"],
     )
+
+
+# The package's public names.  The list is spelled out here, not derived, so
+# that a name dropped from or added to a module's ``__all__`` fails a test.
+PUBLIC_NAMES = [
+    "BoundExceededError", "CausalRelation", "CausalSpace", "Certificate", "Coupling", "EventSet",
+    "GeneratorSpec", "InputError", "KCausalError", "Measure", "NotStablyCausalError", "SUITES",
+    "TimeFunction", "TrialConfig", "TrialReport", "certificate_to_jsonable", "chain_violations",
+    "closedness_trial", "compose_couplings", "condition2_check", "condition3_check",
+    "condition4_check", "condition5_check", "convex_combination", "coupling",
+    "coupling_from_jsonable", "coupling_to_jsonable", "decide_k_causal", "default_labels", "dirac",
+    "enumerate_time_functions", "enumerate_upsets", "explicit_space", "format_rational",
+    "future_set", "future_volume_timefn", "generate", "generator_spec_from_jsonable",
+    "identity_coupling", "implication_chain_trial", "indicator_time_function", "integrate",
+    "is_stably_causal", "is_strictly_monotone", "is_upset", "kplus_closure",
+    "lemma_complement_check", "marginals", "measure", "measure_from_jsonable", "measure_of",
+    "measure_to_jsonable", "minguzzi_check", "minkowski_space", "mix_couplings", "parse_rational",
+    "past_set", "product_coupling", "random_dag_space", "random_feasible_pair",
+    "random_forward_push", "random_measure", "random_space", "rank_time_function",
+    "report_to_jsonable", "run_suite", "sample_time_function", "space_from_jsonable",
+    "space_to_jsonable", "sprinkle_space", "strassen_check", "time_function",
+    "timefn_from_jsonable", "timefn_to_jsonable", "tv_distance", "uniform_measure", "upset_masks",
+    "verify_coupling",
+]
+
+LIBRARY_MODULES = ["errors", "harness", "measures", "structure", "timefunctions", "transport"]
+
+# Names the benchmark reads besides the traced targets: (module, attribute).
+BENCHMARK_NAMES = [
+    ("structure", "space_from_jsonable"),
+    ("measures", "measure_from_jsonable"),
+    ("transport", "coupling_from_jsonable"),
+    ("transport", "verify_coupling"),
+    ("errors", "InputError"),
+    ("harness", "TrialConfig"),
+    ("harness", "run_suite"),
+    ("harness", "report_to_jsonable"),
+    ("harness", "SUITES"),
+    ("timefunctions", "rank_time_function"),
+    ("timefunctions", "minguzzi_check"),
+    ("cli", "main"),
+]
+
+
+def module(name: str):
+    return importlib.import_module(f"kcausal.{name}")
+
+
+def test_public_names_are_unchanged():
+    assert sorted(kcausal.__all__) == PUBLIC_NAMES
+
+
+def test_package_all_is_the_union_of_the_module_lists():
+    listed = [name for home in LIBRARY_MODULES for name in module(home).__all__]
+    assert len(listed) == len(set(listed))
+    assert sorted(listed) == sorted(kcausal.__all__)
+
+
+@pytest.mark.parametrize("home", LIBRARY_MODULES + ["cli"])
+def test_every_listed_name_exists_in_its_module(home):
+    missing = [name for name in module(home).__all__ if not hasattr(module(home), name)]
+    assert missing == []
+
+
+@pytest.mark.parametrize("name", PUBLIC_NAMES)
+def test_exported_name_is_the_defining_modules_object(name):
+    obj = getattr(kcausal, name)
+    (home,) = [home for home in LIBRARY_MODULES if name in module(home).__all__]
+    assert getattr(module(home), name) is obj
+    defined_in = getattr(obj, "__module__", None)
+    if defined_in is not None:
+        assert getattr(importlib.import_module(defined_in), name) is obj
+
+
+def traced_targets():
+    """``(module, function)`` pairs from the benchmark tracer's ``TARGETS``, read without importing it."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "trace.py"
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["TARGETS"]:
+            return [(home, func) for home, func, _ in ast.literal_eval(node.value)]
+    raise AssertionError("perfbench/trace.py defines no TARGETS")
+
+
+@pytest.mark.parametrize("home, attr", traced_targets() + BENCHMARK_NAMES)
+def test_benchmark_names_resolve(home, attr):
+    assert hasattr(module(home), attr)

@@ -396,30 +396,25 @@ def _lemma6_runner(rng: random.Random, max_events: int) -> tuple[bool, dict]:
 
 def _minguzzi_runner(rng: random.Random, max_events: int) -> tuple[bool, dict]:
     # Intersection order over all linear extensions, compared against the
-    # closure on every ordered pair; one random pair is re-checked through
-    # the public per-pair operation.
+    # closure row by row; one random pair is re-checked through the public
+    # per-pair operation.  meets[i] keeps the events at or after i in every
+    # extension seen so far.
     space = random_space(rng, max_events)
     n = space.n
-    meets = [[True] * n for _ in range(n)]
-    pos = [0] * n
+    meets = [(1 << n) - 1] * n
     for order in _linear_extensions(space):
-        for r, j in enumerate(order):
-            pos[j] = r
-        for i in range(n):
-            pi = pos[i]
-            row = meets[i]
-            for j in range(n):
-                if pi > pos[j]:
-                    row[j] = False
+        suffix = 0
+        for j in reversed(order):
+            suffix |= 1 << j
+            meets[j] &= suffix
     labels = space.events.labels
-    rows = space.kplus.rows
-    for i in range(n):
-        for j in range(n):
-            if meets[i][j] != bool(rows[i] >> j & 1):
-                return False, _bundle(space, pair=[labels[i], labels[j]])
+    for i, (meet, row) in enumerate(zip(meets, space.kplus.rows)):
+        if meet != row:
+            j = ((meet ^ row) & -(meet ^ row)).bit_length() - 1
+            return False, _bundle(space, pair=[labels[i], labels[j]])
     i = rng.randrange(n)
     j = rng.randrange(n)
-    if minguzzi_check(space, labels[i], labels[j], max_events) != meets[i][j]:
+    if minguzzi_check(space, labels[i], labels[j], max_events) != bool(meets[i] >> j & 1):
         return False, _bundle(space, pair=[labels[i], labels[j]], stage="per-pair")
     return True, {}
 

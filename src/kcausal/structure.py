@@ -13,7 +13,7 @@ import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from math import lcm
 from typing import Iterable, Iterator, Sequence
 
@@ -57,6 +57,11 @@ SEED_SPAN = 2**64
 # Rows handled per numpy block when relation rows are computed or re-indexed;
 # bounds each temporary to ROW_BLOCK x n entries instead of n x n.
 ROW_BLOCK = 256
+
+# Entries per subset table: the exhaustive checkers split the events into
+# chunks of log2(MASK_BLOCK) bits and visit the 2**n subsets MASK_BLOCK at a
+# time, so no table or temporary grows with n.
+MASK_BLOCK = 2**12
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -310,24 +315,66 @@ def enumerate_upsets(space: CausalSpace, max_events: int = DEFAULT_UPSET_BOUND) 
 
 def upset_masks(space: CausalSpace, max_events: int = DEFAULT_UPSET_BOUND) -> Iterator[int]:
     _check_bound("up-set enumeration", space.n, max_events)
-    return _upset_masks(space)
+    return (mask for block in _SubsetTables(space).upsets() for mask in block.tolist())
 
 
-def _upset_masks(space: CausalSpace) -> Iterator[int]:
-    # An up-set must contain the future of each of its members, so membership
-    # is one mask comparison per member.
-    rows = space.kplus.rows
-    for mask in range(1 << space.n):
-        closed = True
-        rest = mask
-        while rest:
-            low = rest & -rest
-            if rows[low.bit_length() - 1] & ~mask:
-                closed = False
-                break
-            rest ^= low
-        if closed:
-            yield mask
+class _SubsetTables:
+    """Exact integer tables over every subset mask of a space's events.
+
+    The weight vectors are scaled to integers by ``scale``, the common
+    denominator of all their weights.  Events are split into chunks of
+    ``width`` consecutive bits, and a table keeps, per chunk and over that
+    chunk's sub-masks, a sum of per-event integers (scaled weights) or an OR
+    of them (closure rows), built by doubling.  A mask's value is the sum or
+    OR of its chunks' entries, so no table has more than MASK_BLOCK entries
+    at any n.  An array is int64 while its entries stay below 2**62 (masks
+    while n <= 62, masses while scale < 2**62) and holds Python integers
+    (``dtype=object``) otherwise.
+    """
+
+    def __init__(self, space: CausalSpace, weights: Sequence[Sequence[Fraction]] = ()):
+        self.n = space.n
+        self.width = min(self.n, MASK_BLOCK.bit_length() - 1)
+        self.scale = lcm(*(w.denominator for vec in weights for w in vec))
+        self.future = self.table(space.kplus.rows, np.bitwise_or)
+        self.masses = [self.table([int(w * self.scale) for w in vec], np.add) for vec in weights]
+
+    def table(self, values: Sequence[int], op) -> tuple:
+        """Nonnegative per-event ``values`` folded over each mask by ``np.add`` or ``np.bitwise_or``."""
+        dtype = _exact_dtype(sum(values))
+        chunks = []
+        for lo in range(0, self.n, self.width):
+            chunk = np.zeros(1, dtype=dtype)
+            for value in values[lo : lo + self.width]:
+                chunk = np.concatenate((chunk, op(chunk, value)))
+            chunks.append(chunk)
+        return op, chunks
+
+    def at(self, table: tuple, masks: np.ndarray) -> np.ndarray:
+        """The table's value at each mask in ``masks``."""
+        op, chunks = table
+        low = (1 << self.width) - 1
+        parts = (
+            chunk[np.asarray((masks >> shift) & low, dtype=np.intp)]
+            for shift, chunk in zip(range(0, self.n, self.width), chunks)
+        )
+        return reduce(op, parts)
+
+    def blocks(self) -> Iterator[np.ndarray]:
+        """Every mask in increasing order, ``2**width`` at a time."""
+        step = 1 << self.width
+        first = np.arange(step).astype(_exact_dtype(1 << self.n))
+        for lo in range(0, 1 << self.n, step):
+            yield first + lo
+
+    def upsets(self) -> Iterator[np.ndarray]:
+        """Each block's future-closed masks, in increasing order."""
+        for masks in self.blocks():
+            yield masks[self.at(self.future, masks) == masks]
+
+
+def _exact_dtype(bound: int):
+    return np.int64 if bound < 2**62 else object
 
 
 def find_cycle_pair(space: CausalSpace) -> tuple[str, str] | None:

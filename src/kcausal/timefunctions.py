@@ -14,6 +14,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from math import lcm
 from typing import Iterable, Iterator, Mapping
 
 from .errors import InputError, NotStablyCausalError
@@ -247,27 +249,6 @@ def _default_epsilon(space: CausalSpace) -> Fraction:
     return Fraction(1, 2 * space.n)
 
 
-def _thresholds(values: tuple[Fraction, ...], closed: bool) -> list[Fraction]:
-    # Superlevel sets are piecewise constant in the threshold: midpoints plus
-    # one value past each end cover every open half-line; closed half-lines
-    # additionally change at the values themselves.
-    distinct = sorted(set(values))
-    out = [distinct[0] - 1]
-    out.extend((lo + hi) / 2 for lo, hi in zip(distinct, distinct[1:]))
-    out.append(distinct[-1] + 1)
-    if closed:
-        out.extend(distinct)
-    return out
-
-
-def _superlevels_dominated(mu: Measure, nu: Measure, timefn: TimeFunction, closed: bool) -> bool:
-    for alpha in _thresholds(timefn.values, closed):
-        mask = timefn.superlevel_mask(alpha, closed=closed)
-        if mu.mass_of_mask(mask) > nu.mass_of_mask(mask):
-            return False
-    return True
-
-
 def _sampled_timefns(space: CausalSpace, samples: int, seed: int) -> Iterator[TimeFunction]:
     # The count is checked now; the samples are drawn as they are consumed.
     if samples < 1:
@@ -289,21 +270,31 @@ def condition4_check(
     """Superlevel-set mass inequality over time functions.
 
     Exhaustive mode quantifies over all linear extensions and all
-    threshold-distinct half-lines; sampled mode is a seeded falsifier.  The
-    open and closed half-line variants agree on every instance.
+    threshold-distinct half-lines; sampled mode is a seeded falsifier whose
+    sampled values have no ties.  Either way every superlevel set is a suffix
+    of an order of the events, so each order costs one pass of exact integer
+    prefix sums: O(#extensions * n) time and O(n) memory in exhaustive mode.
+    The open and closed half-line variants agree on every instance.
     """
     if half_line not in ("open", "closed"):
         raise InputError(f"unknown half-line variant: {half_line!r}")
     _require_stably_causal(space)
     _require_measures_on(space, mu, nu)
-    closed = half_line == "closed"
     if mode == "exhaustive":
-        timefns: Iterable[TimeFunction] = enumerate_time_functions(space, max_events)
+        _check_bound("extension enumeration", space.n, max_events)
+        orders: Iterable[Iterable[int]] = _linear_extensions(space)
     elif mode == "sampled":
-        timefns = _sampled_timefns(space, samples, seed)
+        orders = (
+            sorted(range(space.n), key=t.values.__getitem__) for t in _sampled_timefns(space, samples, seed)
+        )
     else:
         raise InputError(f"unknown mode: {mode!r}")
-    return all(_superlevels_dominated(mu, nu, t, closed) for t in timefns)
+    # Every superlevel set, open or closed, of a labeling without ties is a
+    # suffix of its order.  ``excess`` is mu - nu scaled to integers and sums
+    # to 0, so mu <= nu on every suffix iff no prefix sum is negative.
+    scale = lcm(mu._common_denominator, nu._common_denominator)
+    excess = [int((a - b) * scale) for a, b in zip(mu.weights, nu.weights)]
+    return all(min(accumulate(map(excess.__getitem__, order))) >= 0 for order in orders)
 
 
 def condition5_check(
@@ -361,8 +352,9 @@ def minguzzi_check(
     j = space.events.index_of(q)
     if i == j:
         return True
+    pair = (i, j)
     for order in _linear_extensions(space):
-        if order.index(i) > order.index(j):
+        if next(k for k in order if k in pair) == j:
             return False
     return True
 

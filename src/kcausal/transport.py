@@ -14,13 +14,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
 from math import lcm
 from typing import Mapping
 
+import numpy as np
+
 from .errors import InputError
 from .measures import Measure, _require_measures_on, _require_same_events, format_rational, parse_rational
-from .structure import DEFAULT_UPSET_BOUND, CausalSpace, EventSet, _check_bound, _order_links, upset_masks
+from .structure import DEFAULT_UPSET_BOUND, CausalSpace, EventSet, _check_bound, _order_links, _SubsetTables
 
 __all__ = [
     "Coupling",
@@ -404,22 +405,39 @@ def strassen_check(
 
     Checks ``mu(B) <= nu(future of B)`` and ``mu(past of B) >= nu(B)`` for all
     ``B``; returns the first violating subset in increasing-size,
-    label-lexicographic order.  Intentionally exponential.
+    label-lexicographic order.  Intentionally exponential: O(2**n) time, as
+    lookups in exact integer subset tables whose size is bounded whatever n
+    is (``structure.MASK_BLOCK`` entries each).
     """
     _require_measures_on(space, mu, nu)
     n = space.n
     _check_bound("subset oracle", n, max_events)
-    order = sorted(range(n), key=lambda i: space.events.labels[i])
-    for size in range(n + 1):
-        for combo in combinations(order, size):
-            mask = 0
-            for i in combo:
-                mask |= 1 << i
-            if mu.mass_of_mask(mask) > nu.mass_of_mask(space.future_mask(mask)):
-                return False, space.events.labels_of(mask)
-            if mu.mass_of_mask(space.past_mask(mask)) < nu.mass_of_mask(mask):
-                return False, space.events.labels_of(mask)
-    return True, None
+    tables = _SubsetTables(space, (mu.weights, nu.weights))
+    m, v = tables.masses
+    past = tables.table(space.kplus.transpose.rows, np.bitwise_or)
+    # With event i counted as bit n-1-rank(label i) of a mask's ranked form,
+    # the first subset of a size in label-lexicographic order is the one with
+    # the largest ranked form, so the first violator has the least
+    # size * 2**n - ranked form.
+    event_key = [0] * n
+    for rank, i in enumerate(sorted(range(n), key=lambda i: space.events.labels[i])):
+        event_key[i] = (1 << n) - (1 << (n - 1 - rank))
+    key = tables.table(event_key, np.add)
+    first = None
+    for masks in tables.blocks():
+        mu_B = tables.at(m, masks)
+        nu_B = tables.at(v, masks)
+        future_short = mu_B > tables.at(v, tables.at(tables.future, masks))
+        past_short = tables.at(m, tables.at(past, masks)) < nu_B
+        bad = masks[future_short | past_short]
+        if bad.size:
+            keys = tables.at(key, bad)
+            k = np.argmin(keys)
+            if first is None or keys[k] < first[0]:
+                first = keys[k], int(bad[k])
+    if first is None:
+        return True, None
+    return False, space.events.labels_of(first[1])
 
 
 def condition2_check(
@@ -431,13 +449,16 @@ def condition2_check(
     """Future-mass inequality ``mu(future of C) <= nu(future of C)`` over all subsets.
 
     Every subset of a finite space is compact, so the quantifier runs over the
-    full power set.
+    full power set: O(2**n) time, as lookups in exact integer subset tables
+    whose size is bounded whatever n is (``structure.MASK_BLOCK`` entries each).
     """
     _require_measures_on(space, mu, nu)
     _check_bound("subset check", space.n, max_events)
-    for mask in range(1 << space.n):
-        future = space.future_mask(mask)
-        if mu.mass_of_mask(future) > nu.mass_of_mask(future):
+    tables = _SubsetTables(space, (mu.weights, nu.weights))
+    m, v = tables.masses
+    for masks in tables.blocks():
+        future = tables.at(tables.future, masks)
+        if np.any(tables.at(m, future) > tables.at(v, future)):
             return False
     return True
 
@@ -455,10 +476,15 @@ def condition3_check(
 
 def _heavier_upset(space, mu, nu, max_events: int) -> tuple[int, Fraction] | None:
     """First up-set mask, in increasing mask order, with ``mu(X) > nu(X)``, and the gap."""
-    for mask in upset_masks(space, max_events):
-        gap = mu.mass_of_mask(mask) - nu.mass_of_mask(mask)
-        if gap > 0:
-            return mask, gap
+    _check_bound("up-set enumeration", space.n, max_events)
+    tables = _SubsetTables(space, (mu.weights, nu.weights))
+    m, v = tables.masses
+    for upsets in tables.upsets():
+        gaps = tables.at(m, upsets) - tables.at(v, upsets)
+        heavier = np.flatnonzero(gaps > 0)
+        if heavier.size:
+            k = heavier[0]
+            return int(upsets[k]), Fraction(int(gaps[k]), tables.scale)
     return None
 
 

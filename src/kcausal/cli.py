@@ -25,11 +25,12 @@ from .harness import SUITES, TrialConfig, report_to_jsonable, run_suite
 from .measures import measure_from_jsonable
 from .structure import (
     DEFAULT_UPSET_BOUND,
+    CausalSpace,
+    _label_sorted_pairs,
     enumerate_upsets,
     generate,
     generator_spec_from_jsonable,
     space_from_jsonable,
-    space_to_jsonable,
 )
 from .timefunctions import (
     DEFAULT_ENUMERATION_BOUND,
@@ -68,6 +69,31 @@ def _emit(obj, path: str | None):
     _write(json.dumps(obj, indent=2, sort_keys=True) + "\n", path)
 
 
+def _emit_space(space: CausalSpace, relation: str, path: str | None):
+    """``_emit(space_to_jsonable(space, relation), path)``, with each label quoted once.
+
+    Writes the pair list as text line by line instead of building it as
+    nested JSON values; the bytes are the same.
+    """
+    quoted = [json.dumps(label) for label in space.events.labels]
+    pairs = [
+        f"      [\n        {quoted[i]},\n        {quoted[j]}\n      ]"
+        for i, j in _label_sorted_pairs(space, relation)
+    ]
+    lines = [
+        "{",
+        '  "events": [',
+        ",\n".join(f"    {label}" for label in quoted),
+        "  ],",
+        '  "relation": {',
+        '    "kind": "explicit",',
+        '    "pairs": [' + ("\n" + ",\n".join(pairs) + "\n    ]" if pairs else "]"),
+        "  }",
+        "}",
+    ]
+    _write("\n".join(lines) + "\n", path)
+
+
 def _bug(what: str) -> int:
     print(f"error: {what}; this is a bug, please report the inputs", file=sys.stderr)
     return 3
@@ -92,7 +118,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_closure(args) -> int:
     space = space_from_jsonable(_load_json(args.spacetime))
-    _emit(space_to_jsonable(space, relation="kplus"), args.out)
+    _emit_space(space, "kplus", args.out)
     return 0
 
 
@@ -120,7 +146,7 @@ def _cmd_timefn(args) -> int:
 def _cmd_generate(args) -> int:
     recipe = generator_spec_from_jsonable(_load_json(args.recipe))
     space = generate(recipe)
-    _emit(space_to_jsonable(space, relation=args.relation), args.out)
+    _emit_space(space, args.relation, args.out)
     return 0
 
 

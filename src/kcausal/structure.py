@@ -205,10 +205,11 @@ class CausalRelation:
 
     @cached_property
     def _cycle_pair(self) -> tuple[int, int] | None:
-        for i, row in enumerate(self.rows):
-            for j in iter_bits(row):
-                if j != i and self.rows[j] >> i & 1:
-                    return i, j
+        # The first i with a j != i on both its row and its column; j is the lowest such.
+        for i, (row, col) in enumerate(zip(self.rows, self.transpose.rows)):
+            both = row & col & ~(1 << i)
+            if both:
+                return i, (both & -both).bit_length() - 1
         return None
 
     @cached_property
@@ -217,36 +218,97 @@ class CausalRelation:
 
     @cached_property
     def transpose(self) -> "CausalRelation":
+        # Rows lo..lo+ROW_BLOCK, unpacked and flipped, are bits lo..lo+ROW_BLOCK of every column.
         cols = [0] * self.n
-        for i, row in enumerate(self.rows):
-            bit = 1 << i
-            for j in iter_bits(row):
-                cols[j] |= bit
+        for lo in range(0, self.n, ROW_BLOCK):
+            for j, part in enumerate(_packed_rows(_unpacked(self.rows[lo : lo + ROW_BLOCK], self.n).T)):
+                cols[j] |= part << lo
         return CausalRelation(self.n, tuple(cols))
 
 
 def kplus_closure(raw: CausalRelation) -> CausalRelation:
     """Smallest reflexive and transitive relation containing ``raw``.
 
-    Warshall's closure over bit-packed rows; correct for arbitrary relations,
-    cycles included, and idempotent.
+    The strongly connected components of ``raw`` come sinks first from an
+    iterative Tarjan pass (SIAM J. Comput. 1, 1972): the components a
+    component points to are all listed before it.  One pass in that order
+    gives each component the mask of its members OR-ed with the closed rows
+    of the components its members point to (Purdom, BIT 10, 1970).
+    Correct for arbitrary relations, cycles and self-loops included,
+    idempotent, and free of recursion limits.
     """
-    n = raw.n
-    rows = list(raw.rows)
-    for k in range(n):
-        bit = 1 << k
-        row_k = rows[k]
-        for i in range(n):
-            if rows[i] & bit:
-                rows[i] |= row_k
-    for i in range(n):
-        rows[i] |= 1 << i
-    return CausalRelation(n, tuple(rows))
+    rows = raw.rows
+    closed = [0] * raw.n
+    for members in _components(rows):
+        reach = 0
+        for m in members:
+            reach |= 1 << m
+        for m in members:
+            # Each successor outside ``reach`` brings its whole closed row,
+            # so successors that row covers are skipped.
+            rest = rows[m] & ~reach
+            while rest:
+                reach |= closed[(rest & -rest).bit_length() - 1]
+                rest &= ~reach
+        for m in members:
+            closed[m] = reach
+    return CausalRelation(raw.n, tuple(closed))
+
+
+def _components(rows: Sequence[int]) -> list[list[int]]:
+    """Strongly connected components of ``rows``, sinks first (iterative Tarjan)."""
+    n = len(rows)
+    index = [-1] * n  # discovery order
+    low = [0] * n
+    done = 0  # mask of the events whose component is already listed
+    stack: list[int] = []
+    components: list[list[int]] = []
+    count = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = count
+        count += 1
+        # A frame is [event, successors not yet tried, its position on the stack].
+        work = [[root, rows[root], len(stack)]]
+        stack.append(root)
+        while work:
+            frame = work[-1]
+            v = frame[0]
+            rest = frame[1] & ~done
+            if rest:
+                bit = rest & -rest
+                frame[1] = rest ^ bit
+                w = bit.bit_length() - 1
+                if index[w] < 0:
+                    index[w] = low[w] = count
+                    count += 1
+                    work.append([w, rows[w], len(stack)])
+                    stack.append(w)
+                elif index[w] < low[v]:  # visited and not done: w is on the stack
+                    low[v] = index[w]
+                continue
+            work.pop()
+            if work and low[v] < low[work[-1][0]]:
+                low[work[-1][0]] = low[v]
+            if low[v] == index[v]:
+                members = stack[frame[2] :]
+                del stack[frame[2] :]
+                for m in members:
+                    done |= 1 << m
+                components.append(members)
+    return components
 
 
 @dataclass(frozen=True)
 class CausalSpace:
-    """A finite event set together with a raw relation and its closure."""
+    """A finite event set together with a raw relation and its closure.
+
+    Invariant: ``kplus`` is ``kplus_closure(raw)``.  ``from_raw`` computes it,
+    and ``minkowski_space`` passes the closed cone as both, being its own
+    closure.  Code may therefore walk ``raw``'s edges where reachability in
+    ``kplus`` is what it needs.
+    """
 
     events: EventSet
     raw: CausalRelation
@@ -486,6 +548,14 @@ def _packed_rows(block: np.ndarray) -> list[int]:
     return [int.from_bytes(data[lo : lo + width], "little") for lo in range(0, len(data), width)]
 
 
+def _unpacked(rows: Sequence[int], n: int) -> np.ndarray:
+    """Boolean matrix of bitmask ``rows`` over ``n`` columns: entry ``[r, j]`` is bit ``j`` of ``rows[r]``."""
+    width = (n + 7) // 8
+    data = b"".join([row.to_bytes(width, "little") for row in rows])
+    bytes_ = np.frombuffer(data, dtype=np.uint8).reshape(len(rows), width)
+    return np.unpackbits(bytes_, axis=1, count=n, bitorder="little")
+
+
 def _order_links(rows: Sequence[int], members: Sequence[int]) -> tuple[list[list[int]], list[list[int]]]:
     """Classes of the closed relation ``rows`` on ``members``, and their covering pairs.
 
@@ -502,13 +572,9 @@ def _order_links(rows: Sequence[int], members: Sequence[int]) -> tuple[list[list
     classes = sorted(by_row.values(), key=lambda m: -rows[m[0]].bit_count())
     reps = [m[0] for m in classes]
     columns = np.array(reps, dtype=np.intp)
-    width = (len(rows) + 7) // 8
     ranked: list[int] = []
     for lo in range(0, len(reps), ROW_BLOCK):
-        block = reps[lo : lo + ROW_BLOCK]
-        raw = b"".join([rows[r].to_bytes(width, "little") for r in block])
-        bytes_ = np.frombuffer(raw, dtype=np.uint8).reshape(len(block), width)
-        bits = np.unpackbits(bytes_, axis=1, bitorder="little")
+        bits = _unpacked([rows[r] for r in reps[lo : lo + ROW_BLOCK]], len(rows))
         ranked.extend(_packed_rows(bits[:, columns]))
     # The lowest class still above k is a cover; everything above it is not.
     links = []
@@ -666,7 +732,15 @@ def space_from_jsonable(obj) -> CausalSpace:
 
 def space_to_jsonable(space: CausalSpace, relation: str = "raw") -> dict:
     """Explicit spacetime object; pair list sorted by (cause, effect) label."""
-    rel = space.raw if relation == "raw" else space.kplus
     labels = space.events.labels
-    pairs = sorted([labels[i], labels[j]] for i, j in rel.pairs())
+    pairs = [[labels[i], labels[j]] for i, j in _label_sorted_pairs(space, relation)]
     return {"events": list(labels), "relation": {"kind": "explicit", "pairs": pairs}}
+
+
+def _label_sorted_pairs(space: CausalSpace, relation: str) -> Iterator[tuple[int, int]]:
+    """Index pairs of the raw relation or the closure, sorted by (cause, effect) label."""
+    rows = space.raw.rows if relation == "raw" else space.kplus.rows
+    label = space.events.labels.__getitem__
+    for i in sorted(range(space.n), key=label):
+        for j in sorted(iter_bits(rows[i]), key=label):
+            yield i, j

@@ -12,11 +12,12 @@ answers.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import lcm
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import InputError, NotStablyCausalError
 from .measures import Measure, _require_measures_on, format_rational, integrate, parse_rational
@@ -157,10 +158,29 @@ def _rank_values(space: CausalSpace, order: tuple[int, ...]) -> TimeFunction:
     return TimeFunction(events=space.events, values=tuple(values))
 
 
+def _ready_order(space: CausalSpace, take: Callable[[list[int]], int]) -> Iterator[int]:
+    # Kahn's sort of the raw relation's edges between distinct events.  An
+    # event is ready once its raw predecessors are placed; since ``kplus`` is
+    # the closure of ``raw``, that is once its closure predecessors are.
+    # ``ready`` stays sorted, and ``take`` picks the position to place next.
+    # Each event is yielded as soon as it is taken, so a caller's draws
+    # between events interleave with ``take``'s as in one loop.
+    succ = [row & ~(1 << i) for i, row in enumerate(space.raw.rows)]
+    waiting = [(col & ~(1 << j)).bit_count() for j, col in enumerate(space.raw.transpose.rows)]
+    ready = [j for j, count in enumerate(waiting) if not count]
+    while ready:
+        i = ready.pop(take(ready))
+        yield i
+        for j in iter_bits(succ[i]):
+            waiting[j] -= 1
+            if not waiting[j]:
+                insort(ready, j)
+
+
 def rank_time_function(space: CausalSpace) -> TimeFunction:
     """Canonical integer-valued time function (first linear extension)."""
     _require_stably_causal(space)
-    return _rank_values(space, next(iter(_linear_extensions(space))))
+    return _rank_values(space, tuple(_ready_order(space, lambda ready: 0)))
 
 
 def enumerate_time_functions(
@@ -181,16 +201,10 @@ def sample_time_function(space: CausalSpace, seed: int) -> TimeFunction:
     """Random linear extension with strictly increasing random rational values."""
     _require_stably_causal(space)
     rng = random.Random(seed)
-    n = space.n
-    preds = _strict_predecessor_masks(space)
-    placed = 0
     level = Fraction(rng.randrange(0, 24), 24)
-    values = [Fraction(0)] * n
-    for _ in range(n):
-        ready = [j for j in range(n) if not placed >> j & 1 and not preds[j] & ~placed]
-        j = rng.choice(ready)
+    values = [Fraction(0)] * space.n
+    for j in _ready_order(space, lambda ready: bisect_left(ready, rng.choice(ready))):
         values[j] = level
-        placed |= 1 << j
         level += Fraction(rng.randrange(1, 25), 24)
     return TimeFunction(events=space.events, values=tuple(values))
 

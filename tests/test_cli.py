@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,7 +11,11 @@ from fractions import Fraction
 from kcausal import (
     coupling_from_jsonable,
     measure_from_jsonable,
+    random_feasible_pair,
+    random_measure,
+    random_space,
     space_from_jsonable,
+    space_to_jsonable,
     verify_coupling,
 )
 
@@ -409,3 +414,70 @@ class TestArtifactsFeedBackIntoTheApi:
         nu = measure_from_jsonable(nu_obj, space.events)
         omega = coupling_from_jsonable(json.loads(witness.read_text()), space.events)
         assert verify_coupling(space, omega, mu, nu)
+
+
+class TestPairWriter:
+    """``closure`` and ``generate`` write the pair list row by row; the bytes
+    must equal ``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``."""
+
+    @staticmethod
+    def dumped(space, relation):
+        # The pair list as space_to_jsonable built it before it shared the
+        # writer's label order: every pair, then one sort of the label pairs.
+        rel = space.raw if relation == "raw" else space.kplus
+        labels = space.events.labels
+        pairs = sorted([labels[i], labels[j]] for i, j in rel.pairs())
+        obj = {"events": list(labels), "relation": {"kind": "explicit", "pairs": pairs}}
+        assert space_to_jsonable(space, relation) == obj
+        return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+    def assert_bytes_match(self, tmp_path, spec):
+        from kcausal import cli
+
+        path = write(tmp_path, "spec.json", spec)
+        space = space_from_jsonable(spec)
+        out = tmp_path / "out.json"
+        runs = [
+            (["closure", path], "kplus"),
+            (["generate", path], "raw"),
+            (["generate", path, "--relation", "raw"], "raw"),
+            (["generate", path, "--relation", "kplus"], "kplus"),
+        ]
+        for argv, relation in runs:
+            assert cli.main([*argv, "--out", str(out)]) == 0
+            assert out.read_bytes() == self.dumped(space, relation).encode("utf-8"), argv
+
+    def test_acceptance_corpus(self, tmp_path):
+        # The 200 spaces of tests/test_acceptance.py's corpus, drawn the same way.
+        rng = random.Random(20260814)
+        for _ in range(200):
+            space = random_space(rng, 7)
+            if rng.random() < 0.5:
+                random_feasible_pair(rng, space)
+            else:
+                random_measure(rng, space.events)
+                random_measure(rng, space.events)
+            self.assert_bytes_match(tmp_path, space_to_jsonable(space))
+
+    def test_acceptance_recipes(self, tmp_path):
+        for spec in (
+            CHAIN2,
+            CHAIN3,
+            DIAMOND,
+            CYCLE,
+            {"kind": "sprinkle", "n": 100, "dim": 2, "box": [[0, 1], [-1, 1]], "seed": 42},
+            {"kind": "random-dag", "n": 40, "p": "1/10", "seed": 9},
+        ):
+            self.assert_bytes_match(tmp_path, spec)
+
+    def test_one_event(self, tmp_path):
+        self.assert_bytes_match(tmp_path, {"events": ["solo"], "relation": {"kind": "explicit", "pairs": []}})
+
+    def test_empty_pair_list(self, tmp_path):
+        # The raw relation has no pairs; its closure has only the diagonal.
+        self.assert_bytes_match(tmp_path, {"events": ["a", "b", "c"], "relation": {"kind": "explicit", "pairs": []}})
+
+    def test_labels_that_need_escaping(self, tmp_path):
+        labels = ['quo"te', "back\\slash", "tab\there", "nul\x00bell\x07", "line\nbreak", "日本語", "é", "\U0001f600", "z"]
+        pairs = [[labels[i], labels[(3 * i + 1) % len(labels)]] for i in range(len(labels))]
+        self.assert_bytes_match(tmp_path, {"events": labels, "relation": {"kind": "explicit", "pairs": pairs}})

@@ -1,0 +1,246 @@
+"""Differential tests of the order layer against the quadratic code it replaced.
+
+Each oracle below is the earlier implementation, kept as the reference:
+
+- ``warshall_closure``: Warshall's closure over bit-packed rows, which
+  ``kplus_closure`` ran before the SCC-condensation closure;
+- ``pairwise_transpose``: the bit-by-bit transpose behind
+  ``CausalRelation.transpose`` before it packed columns with numpy;
+- ``pairwise_cycle_pair``: the row-by-row scan behind
+  ``CausalRelation._cycle_pair`` before it read the transpose;
+- ``scan_order`` and ``scan_sample_values``: the O(n^2) ready scans of
+  ``rank_time_function`` and ``sample_time_function`` before both became
+  ready-set (Kahn) sorts over the raw relation.
+
+The oracles take their predecessor masks from ``warshall_closure`` and
+``pairwise_transpose``, so they share no code with what they check.
+"""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kcausal import (
+    CausalRelation,
+    NotStablyCausalError,
+    default_labels,
+    explicit_space,
+    kplus_closure,
+    random_dag_space,
+    rank_time_function,
+    sample_time_function,
+    sprinkle_space,
+)
+from kcausal.structure import iter_bits
+
+
+def warshall_closure(raw: CausalRelation) -> CausalRelation:
+    n = raw.n
+    rows = list(raw.rows)
+    for k in range(n):
+        bit = 1 << k
+        row_k = rows[k]
+        for i in range(n):
+            if rows[i] & bit:
+                rows[i] |= row_k
+    for i in range(n):
+        rows[i] |= 1 << i
+    return CausalRelation(n, tuple(rows))
+
+
+def pairwise_transpose(rel: CausalRelation) -> tuple[int, ...]:
+    cols = [0] * rel.n
+    for i, row in enumerate(rel.rows):
+        bit = 1 << i
+        for j in iter_bits(row):
+            cols[j] |= bit
+    return tuple(cols)
+
+
+def pairwise_cycle_pair(rel: CausalRelation) -> tuple[int, int] | None:
+    for i, row in enumerate(rel.rows):
+        for j in iter_bits(row):
+            if j != i and rel.rows[j] >> i & 1:
+                return i, j
+    return None
+
+
+def _strict_predecessors(space) -> list[int]:
+    cols = pairwise_transpose(warshall_closure(space.raw))
+    return [cols[j] & ~(1 << j) for j in range(space.n)]
+
+
+def scan_order(space) -> list[int]:
+    """Greedy smallest-index topological order: the first linear extension."""
+    n = space.n
+    preds = _strict_predecessors(space)
+    placed = 0
+    order = []
+    for _ in range(n):
+        ready = [j for j in range(n) if not placed >> j & 1 and not preds[j] & ~placed]
+        order.append(ready[0])
+        placed |= 1 << ready[0]
+    return order
+
+
+def scan_sample_values(space, seed: int) -> tuple[Fraction, ...]:
+    rng = random.Random(seed)
+    n = space.n
+    preds = _strict_predecessors(space)
+    placed = 0
+    level = Fraction(rng.randrange(0, 24), 24)
+    values = [Fraction(0)] * n
+    for _ in range(n):
+        ready = [j for j in range(n) if not placed >> j & 1 and not preds[j] & ~placed]
+        j = rng.choice(ready)
+        values[j] = level
+        placed |= 1 << j
+        level += Fraction(rng.randrange(1, 25), 24)
+    return tuple(values)
+
+
+# ---------------------------------------------------------------------------
+# Spaces
+
+
+@st.composite
+def cyclic_spaces(draw, max_n=9):
+    """Explicit spaces from arbitrary pair lists: cycles and self-loops included."""
+    n = draw(st.integers(1, max_n))
+    labels = default_labels(n)
+    pairs = draw(st.lists(st.tuples(st.sampled_from(labels), st.sampled_from(labels)), max_size=3 * n))
+    return explicit_space(labels, pairs)
+
+
+@st.composite
+def shuffled_dags(draw, max_n=12):
+    n = draw(st.integers(1, max_n))
+    labels = list(default_labels(n))
+    draw(st.randoms(use_true_random=False)).shuffle(labels)
+    edge_prob = draw(st.sampled_from([0.0, 0.1, 0.3, 0.6, 1.0]))
+    return random_dag_space(n, edge_prob, draw(st.integers(0, 2**32 - 1)), labels=labels)
+
+
+@st.composite
+def sprinkles(draw, max_n=12):
+    n = draw(st.integers(1, max_n))
+    dim = draw(st.integers(2, 3))
+    return sprinkle_space(n, dim, [(0, 1)] + [(-1, 1)] * (dim - 1), draw(st.integers(0, 2**32 - 1)))
+
+
+@st.composite
+def explicit_dags(draw, max_n=10):
+    """Explicit acyclic spaces whose raw relation is, in general, not transitive."""
+    n = draw(st.integers(1, max_n))
+    perm = draw(st.permutations(default_labels(n)))
+    edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n))
+    # Orient every edge along ``perm``, so the relation is acyclic whatever the label order.
+    pairs = [(perm[min(i, j)], perm[max(i, j)]) for i, j in edges if i != j]
+    return explicit_space(default_labels(n), pairs)
+
+
+any_space = st.one_of(cyclic_spaces(), shuffled_dags(), sprinkles())
+acyclic_space = st.one_of(shuffled_dags(), sprinkles(), explicit_dags())
+
+
+def _labelled(space, pair):
+    return None if pair is None else (space.events.labels[pair[0]], space.events.labels[pair[1]])
+
+
+# ---------------------------------------------------------------------------
+# Closure, transpose and cycle pair
+
+
+class TestClosureMatchesWarshall:
+    @settings(max_examples=300, deadline=None)
+    @given(any_space)
+    def test_random_spaces(self, space):
+        assert kplus_closure(space.raw).rows == warshall_closure(space.raw).rows
+        assert space.kplus.rows == warshall_closure(space.raw).rows
+
+    @pytest.mark.parametrize("n, edge_prob", [(1000, 1 / 100), (2000, 10 / 2000)])
+    def test_benchmark_dag_sizes(self, n, edge_prob):
+        space = random_dag_space(n, edge_prob, 5)
+        assert space.kplus.rows == warshall_closure(space.raw).rows
+
+
+class TestTransposeAndCyclePair:
+    @settings(max_examples=300, deadline=None)
+    @given(any_space)
+    def test_random_spaces(self, space):
+        for rel in (space.raw, space.kplus):
+            assert rel.transpose.rows == pairwise_transpose(rel)
+            assert rel._cycle_pair == pairwise_cycle_pair(rel)
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 255, 256, 257, 513])
+    def test_across_byte_and_block_boundaries(self, n):
+        rng = random.Random(n)
+        for density in (1, 2, 4):
+            rows = tuple(
+                rng.getrandbits(n) & rng.getrandbits(n) if density > 1 else rng.getrandbits(n) for _ in range(n)
+            )
+            rel = CausalRelation(n, rows)
+            assert rel.transpose.rows == pairwise_transpose(rel)
+            assert rel._cycle_pair == pairwise_cycle_pair(rel)
+
+    def test_one_hot_bits_land_in_the_right_column(self):
+        n = 513
+        rows = tuple(1 << ((7 * i + 3) % n) for i in range(n))
+        cols = CausalRelation(n, rows).transpose.rows
+        assert all(cols[(7 * i + 3) % n] >> i & 1 for i in range(n))
+        assert sum(col.bit_count() for col in cols) == n
+
+
+class TestNoRecursionLimit:
+    N = 3000
+
+    def test_chain_closes_to_upper_triangle(self):
+        labels = default_labels(self.N)
+        space = explicit_space(labels, zip(labels, labels[1:]))
+        full = (1 << self.N) - 1
+        assert space.kplus.rows == tuple(full & ~((1 << i) - 1) for i in range(self.N))
+
+    def test_cycle_closes_to_all_ones(self):
+        labels = default_labels(self.N)
+        space = explicit_space(labels, zip(labels, labels[1:] + labels[:1]))
+        assert space.kplus.rows == ((1 << self.N) - 1,) * self.N
+
+
+# ---------------------------------------------------------------------------
+# Time functions
+
+
+class TestReadySortsMatchScans:
+    @settings(max_examples=200, deadline=None)
+    @given(acyclic_space, st.integers(0, 2**64 - 1))
+    def test_rank_and_sample(self, space, seed):
+        order = scan_order(space)
+        assert rank_time_function(space).values == tuple(Fraction(order.index(j)) for j in range(space.n))
+        assert sample_time_function(space, seed).values == scan_sample_values(space, seed)
+
+    @settings(max_examples=150, deadline=None)
+    @given(cyclic_spaces(), st.integers(0, 2**64 - 1))
+    def test_cyclic_spaces_name_the_same_pair(self, space, seed):
+        pair = _labelled(space, pairwise_cycle_pair(warshall_closure(space.raw)))
+        if pair is None:
+            assert rank_time_function(space).values == tuple(
+                Fraction(scan_order(space).index(j)) for j in range(space.n)
+            )
+            assert sample_time_function(space, seed).values == scan_sample_values(space, seed)
+            return
+        for call in (lambda: rank_time_function(space), lambda: sample_time_function(space, seed)):
+            with pytest.raises(NotStablyCausalError) as caught:
+                call()
+            assert caught.value.pair == pair
+
+    def test_benchmark_dag(self):
+        space = random_dag_space(1000, 1 / 100, 11)
+        order = scan_order(space)
+        ranks = rank_time_function(space).values
+        assert all(ranks[j] == k for k, j in enumerate(order))
+        assert sample_time_function(space, 2**40 + 3).values == scan_sample_values(space, 2**40 + 3)

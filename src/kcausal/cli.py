@@ -135,7 +135,8 @@ def _cmd_timefn(args) -> int:
     if args.enumerate:
         timefns = enumerate_time_functions(space, max_events=args.max_events)
     else:
-        timefns = _sampled_timefns(space, args.sample, args.seed)
+        # A bad count is reported before a missing seed; a given seed is range-checked with the count.
+        timefns = _sampled_timefns(space, args.sample, 0 if args.seed is None else args.seed)
         if args.seed is None:
             raise InputError("--sample requires an explicit --seed")
     lines = (json.dumps(timefn_to_jsonable(t), sort_keys=True) + "\n" for t in timefns)

@@ -25,6 +25,8 @@ from .structure import (
     DEFAULT_UPSET_BOUND,
     SEED_SPAN,
     CausalSpace,
+    _check_seed,
+    _scaled,
     iter_bits,
     lemma_complement_check,
     random_dag_space,
@@ -102,8 +104,7 @@ class TrialConfig:
         object.__setattr__(self, "suites", ordered)
         if self.trials < 1:
             raise InputError("trial count must be positive")
-        if not 0 <= self.seed < SEED_SPAN:
-            raise InputError("seed must be an unsigned 64-bit integer")
+        _check_seed(self.seed)
         if self.max_events < 1:
             raise InputError("max_events must be positive")
         for name in ordered:
@@ -191,12 +192,11 @@ def random_forward_push(
     The returned measure dominates ``mu`` by construction and the returned
     coupling witnesses it.
     """
-    den = mu._common_denominator
+    den, (scaled,) = _scaled(mu.weights)
     rows = space.kplus.rows
     pair_units: dict[tuple[int, int], int] = {}
     target_units = [0] * space.n
-    for i, w in enumerate(mu.weights):
-        units = int(w * den)
+    for i, units in enumerate(scaled):
         if not units:
             continue
         targets = list(iter_bits(rows[i]))

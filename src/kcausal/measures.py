@@ -11,11 +11,10 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 from typing import Iterable, Mapping
 
 from .errors import InputError
-from .structure import CausalSpace, EventSet, iter_bits, parse_rational
+from .structure import CausalSpace, EventSet, _scaled, iter_bits, parse_rational
 
 __all__ = [
     "Measure",
@@ -73,20 +72,19 @@ class Measure:
         return all(w > 0 for w in self.weights)
 
     @cached_property
-    def _common_denominator(self) -> int:
-        return lcm(*(w.denominator for w in self.weights))
+    def _integer_weights(self) -> tuple[int, list[list[int]]]:
+        return _scaled(self.weights)
 
-    @cached_property
-    def _scaled(self) -> tuple[int, ...]:
-        den = self._common_denominator
-        return tuple(int(w * den) for w in self.weights)
+    @property
+    def _common_denominator(self) -> int:
+        return self._integer_weights[0]
 
     def weight(self, label: str) -> Fraction:
         return self.weights[self.events.index_of(label)]
 
     def mass_of_mask(self, mask: int) -> Fraction:
-        scaled = self._scaled
-        return Fraction(sum(scaled[i] for i in iter_bits(mask)), self._common_denominator)
+        den, (scaled,) = self._integer_weights
+        return Fraction(sum(scaled[i] for i in iter_bits(mask)), den)
 
     def support_mask(self) -> int:
         mask = 0

@@ -72,6 +72,11 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _check_seed(seed: int):
+    if not 0 <= seed < SEED_SPAN:
+        raise InputError(f"seed must be an unsigned 64-bit integer, got {seed}")
+
+
 def _check_bound(what: str, n: int, max_events: int):
     if n > max_events:
         raise BoundExceededError(f"{what} refuses n={n} events (bound {max_events})")
@@ -397,9 +402,9 @@ class _SubsetTables:
     def __init__(self, space: CausalSpace, weights: Sequence[Sequence[Fraction]] = ()):
         self.n = space.n
         self.width = min(self.n, MASK_BLOCK.bit_length() - 1)
-        self.scale = lcm(*(w.denominator for vec in weights for w in vec))
+        self.scale, scaled = _scaled(*weights)
         self.future = self.table(space.kplus.rows, np.bitwise_or)
-        self.masses = [self.table([int(w * self.scale) for w in vec], np.add) for vec in weights]
+        self.masses = [self.table(vec, np.add) for vec in scaled]
 
     def table(self, values: Sequence[int], op) -> tuple:
         """Nonnegative per-event ``values`` folded over each mask by ``np.add`` or ``np.bitwise_or``."""
@@ -435,7 +440,14 @@ class _SubsetTables:
             yield masks[self.at(self.future, masks) == masks]
 
 
+def _scaled(*vectors: Sequence[Fraction]) -> tuple[int, list[list[int]]]:
+    """The common denominator of every entry of ``vectors``, and each vector times it."""
+    den = lcm(*(x.denominator for vec in vectors for x in vec))
+    return den, [[x.numerator * (den // x.denominator) for x in vec] for vec in vectors]
+
+
 def _exact_dtype(bound: int):
+    """int64 if ``bound`` < 2**62 caps every value an array holds, else Python integers (``object``)."""
     return np.int64 if bound < 2**62 else object
 
 
@@ -485,8 +497,8 @@ class GeneratorSpec:
                 raise InputError("random-dag generator needs n, edge probability, and seed")
         else:
             raise InputError(f"unknown generator kind: {self.kind!r}")
-        if self.seed is not None and not 0 <= self.seed < SEED_SPAN:
-            raise InputError("seed must be a 64-bit unsigned integer")
+        if self.seed is not None:
+            _check_seed(self.seed)
 
 
 def default_labels(n: int) -> tuple[str, ...]:
@@ -507,36 +519,23 @@ def _cone_rows(points: Sequence[tuple[Fraction, ...]]) -> tuple[int, ...]:
 
     Decided exactly as ``dt >= 0 and dt^2 >= sum(dx_i^2)`` after scaling all
     coordinates to a common integer denominator, so no square root is taken.
-    The int64 path works ROW_BLOCK rows at a time; coordinates too fine for
-    int64 fall back to Python integers.
+    Rows are computed ROW_BLOCK at a time, in int64 when every ``dt^2`` and
+    ``sum(dx_i^2)`` fits and on Python integers otherwise.
     """
     n = len(points)
     dim = len(points[0])
-    den = lcm(*(c.denominator for point in points for c in point)) if points else 1
-    scaled = [[int(c * den) for c in point] for point in points]
-    peak = max((abs(c) for row in scaled for c in row), default=0)
-    if n > 1 and (2 * peak) ** 2 * max(dim - 1, 1) < 2**62:
-        arr = np.array(scaled, dtype=np.int64)
-        rows: list[int] = []
-        for lo in range(0, n, ROW_BLOCK):
-            block = arr[lo : lo + ROW_BLOCK]
-            dt = arr[None, :, 0] - block[:, None, 0]
-            sq = np.zeros_like(dt)
-            for axis in range(1, dim):
-                dx = arr[None, :, axis] - block[:, None, axis]
-                sq += dx * dx
-            rows.extend(_packed_rows((dt >= 0) & (dt * dt >= sq)))
-        return tuple(rows)
-    rows = [0] * n
-    for i in range(n):
-        pi = scaled[i]
-        for j in range(n):
-            dt = scaled[j][0] - pi[0]
-            if dt < 0:
-                continue
-            sq = sum((scaled[j][a] - pi[a]) ** 2 for a in range(1, dim))
-            if dt * dt >= sq:
-                rows[i] |= 1 << j
+    _, scaled = _scaled(*points)
+    peak = max(abs(c) for row in scaled for c in row)
+    arr = np.array(scaled, dtype=_exact_dtype((2 * peak) ** 2 * (dim - 1)))
+    rows: list[int] = []
+    for lo in range(0, n, ROW_BLOCK):
+        block = arr[lo : lo + ROW_BLOCK]
+        dt = arr[None, :, 0] - block[:, None, 0]
+        sq = np.zeros_like(dt)
+        for axis in range(1, dim):
+            dx = arr[None, :, axis] - block[:, None, axis]
+            sq += dx * dx
+        rows.extend(_packed_rows((dt >= 0) & (dt * dt >= sq)))
     return tuple(rows)
 
 
@@ -593,8 +592,6 @@ def minkowski_space(points: Sequence[Sequence], labels: Sequence[str] | None = N
     pts = tuple(tuple(parse_rational(c) for c in point) for point in points)
     if not pts:
         raise InputError("minkowski generator needs at least one point")
-    if len({len(p) for p in pts}) != 1 or len(pts[0]) < 2:
-        raise InputError("points must share one dimension of at least 2")
     labs = tuple(labels) if labels is not None else default_labels(len(pts))
     events = EventSet(labels=labs, coords=pts)
     # The closed cone is already reflexive and transitive: it is its own closure.
@@ -618,6 +615,7 @@ def sprinkle_space(
         raise InputError("box must provide one [lo, hi] interval per dimension")
     if any(lo > hi for lo, hi in bounds):
         raise InputError("box intervals must satisfy lo <= hi")
+    _check_seed(seed)
     rng = random.Random(seed)
     points = [
         tuple(lo + (hi - lo) * Fraction(rng.randrange(SPRINKLE_GRID + 1), SPRINKLE_GRID) for lo, hi in bounds)
@@ -636,6 +634,7 @@ def random_dag_space(
         raise InputError("random-dag needs at least one event")
     if not 0.0 <= edge_prob <= 1.0:
         raise InputError("edge probability must lie in [0, 1]")
+    _check_seed(seed)
     rng = random.Random(seed)
     rows = [0] * n
     for i in range(n):

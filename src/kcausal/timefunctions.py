@@ -16,7 +16,6 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import lcm
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import InputError, NotStablyCausalError
@@ -27,6 +26,8 @@ from .structure import (
     CausalSpace,
     EventSet,
     _check_bound,
+    _check_seed,
+    _scaled,
     find_cycle_pair,
     iter_bits,
 )
@@ -199,6 +200,7 @@ def enumerate_time_functions(
 
 def sample_time_function(space: CausalSpace, seed: int) -> TimeFunction:
     """Random linear extension with strictly increasing random rational values."""
+    _check_seed(seed)
     _require_stably_causal(space)
     rng = random.Random(seed)
     level = Fraction(rng.randrange(0, 24), 24)
@@ -264,9 +266,10 @@ def _default_epsilon(space: CausalSpace) -> Fraction:
 
 
 def _sampled_timefns(space: CausalSpace, samples: int, seed: int) -> Iterator[TimeFunction]:
-    # The count is checked now; the samples are drawn as they are consumed.
+    # The count and the seed are checked now; the samples are drawn as they are consumed.
     if samples < 1:
         raise InputError("sample count must be positive")
+    _check_seed(seed)
     rng = random.Random(seed)
     return (sample_time_function(space, rng.randrange(SEED_SPAN)) for _ in range(samples))
 
@@ -306,8 +309,8 @@ def condition4_check(
     # Every superlevel set, open or closed, of a labeling without ties is a
     # suffix of its order.  ``excess`` is mu - nu scaled to integers and sums
     # to 0, so mu <= nu on every suffix iff no prefix sum is negative.
-    scale = lcm(mu._common_denominator, nu._common_denominator)
-    excess = [int((a - b) * scale) for a, b in zip(mu.weights, nu.weights)]
+    _, (mu_units, nu_units) = _scaled(mu.weights, nu.weights)
+    excess = [a - b for a, b in zip(mu_units, nu_units)]
     return all(min(accumulate(map(excess.__getitem__, order))) >= 0 for order in orders)
 
 

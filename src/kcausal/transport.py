@@ -14,14 +14,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 from typing import Mapping
 
 import numpy as np
 
 from .errors import InputError
 from .measures import Measure, _require_measures_on, _require_same_events, format_rational, parse_rational
-from .structure import DEFAULT_UPSET_BOUND, CausalSpace, EventSet, _check_bound, _order_links, _SubsetTables
+from .structure import (
+    DEFAULT_UPSET_BOUND, CausalSpace, EventSet, _check_bound, _order_links, _scaled, _SubsetTables
+)
 
 __all__ = [
     "Coupling",
@@ -237,9 +238,7 @@ def decide_k_causal(space: CausalSpace, mu: Measure, nu: Measure) -> Certificate
     (``AssertionError`` if not).
     """
     _require_measures_on(space, mu, nu)
-    den = lcm(mu._common_denominator, nu._common_denominator)
-    supply = [int(w * den) for w in mu.weights]
-    demand = [int(w * den) for w in nu.weights]
+    den, (supply, demand) = _scaled(mu.weights, nu.weights)
     support = [i for i in range(space.n) if supply[i] or demand[i]]
     classes, links = _order_links(space.kplus.rows, support)
 

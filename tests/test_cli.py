@@ -212,6 +212,21 @@ class TestTimefn:
         space = write(tmp_path, "space.json", DIAMOND)
         assert run_cli("timefn", space, "--sample", "0", "--seed", "1").returncode == 2
 
+    def test_bad_count_is_reported_before_a_missing_seed(self, tmp_path):
+        space = write(tmp_path, "space.json", DIAMOND)
+        result = run_cli("timefn", space, "--sample", "0")
+        assert result.returncode == 2
+        assert "sample count" in result.stderr
+
+    def test_seed_outside_the_unsigned_64_bit_range_exits_two(self, tmp_path):
+        # random.Random(-7) draws what random.Random(7) draws; the range check keeps
+        # one seed per sample sequence.
+        space = write(tmp_path, "space.json", DIAMOND)
+        for seed in ("-7", str(2**64)):
+            result = run_cli("timefn", space, "--sample", "1", "--seed", seed)
+            assert result.returncode == 2
+            assert result.stderr == f"error: seed must be an unsigned 64-bit integer, got {seed}\n"
+
     def test_cycle_exits_one_naming_the_pair(self, tmp_path):
         space = write(tmp_path, "space.json", CYCLE)
         result = run_cli("timefn", space, "--enumerate")
@@ -310,6 +325,14 @@ class TestMalformedJson:
         result = run_cli("check", space, mu, mu)
         assert result.returncode == 2
         assert "Traceback" not in result.stderr
+
+    def test_minkowski_spec_with_mixed_or_one_dimensional_points(self, tmp_path):
+        for points in ([[0, 0], [1, 1, 1]], [[0], [1]]):
+            space = write(tmp_path, "space.json", {"kind": "minkowski", "points": points})
+            result = run_cli("closure", space)
+            assert result.returncode == 2
+            assert result.stderr.count("\n") == 1
+            assert "dimension" in result.stderr
 
     def test_weight_overflowing_a_float(self, tmp_path):
         space = write(tmp_path, "space.json", CHAIN2)

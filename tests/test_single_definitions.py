@@ -12,6 +12,8 @@ import pytest
 
 import kcausal
 from kcausal import (
+    GeneratorSpec,
+    InputError,
     TrialConfig,
     condition2_check,
     condition3_check,
@@ -19,12 +21,17 @@ from kcausal import (
     condition5_check,
     enumerate_time_functions,
     enumerate_upsets,
+    explicit_space,
     minguzzi_check,
+    random_dag_space,
+    sample_time_function,
+    sprinkle_space,
     strassen_check,
+    uniform_measure,
     upset_masks,
 )
 from kcausal.cli import _build_parser
-from kcausal.structure import DEFAULT_UPSET_BOUND
+from kcausal.structure import DEFAULT_UPSET_BOUND, SEED_SPAN, _check_seed
 from kcausal.timefunctions import DEFAULT_ENUMERATION_BOUND
 
 
@@ -147,3 +154,46 @@ def traced_targets():
 @pytest.mark.parametrize("home, attr", traced_targets() + BENCHMARK_NAMES)
 def test_benchmark_names_resolve(home, attr):
     assert hasattr(module(home), attr)
+
+
+def test_only_structure_turns_rationals_into_integers():
+    # ``structure._scaled`` is the one place a common denominator is taken.
+    package = Path(kcausal.__file__).resolve().parent
+    users = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            imported = isinstance(node, ast.ImportFrom) and any(alias.name == "lcm" for alias in node.names)
+            if imported or (isinstance(node, ast.Attribute) and node.attr == "lcm"):
+                users.add(path.name)
+    assert users == {"structure.py"}
+
+
+CHAIN = explicit_space(["a", "b", "c"], [("a", "b"), ("b", "c")])
+UNIFORM = uniform_measure(CHAIN.events)
+
+# Every public entry point that takes a seed, called with that seed.
+SEED_TAKERS = {
+    "GeneratorSpec": lambda seed: GeneratorSpec(kind="random-dag", n=3, edge_prob=0.5, seed=seed),
+    "TrialConfig": lambda seed: TrialConfig(seed=seed),
+    "sprinkle_space": lambda seed: sprinkle_space(3, 2, [[0, 1], [-1, 1]], seed),
+    "random_dag_space": lambda seed: random_dag_space(3, 0.5, seed),
+    "sample_time_function": lambda seed: sample_time_function(CHAIN, seed),
+    "condition4_check": lambda seed: condition4_check(CHAIN, UNIFORM, UNIFORM, mode="sampled", seed=seed),
+    "condition5_check": lambda seed: condition5_check(CHAIN, UNIFORM, UNIFORM, mode="sampled", seed=seed),
+}
+
+
+@pytest.mark.parametrize("seed", [-1, SEED_SPAN])
+@pytest.mark.parametrize("taker", SEED_TAKERS)
+def test_seed_takers_reject_seeds_outside_the_span_alike(taker, seed):
+    with pytest.raises(InputError) as expected:
+        _check_seed(seed)
+    with pytest.raises(InputError) as got:
+        SEED_TAKERS[taker](seed)
+    assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("taker", SEED_TAKERS)
+def test_seed_takers_accept_both_ends_of_the_span(taker):
+    SEED_TAKERS[taker](0)
+    SEED_TAKERS[taker](SEED_SPAN - 1)

@@ -336,6 +336,27 @@ class TestBlockedConeRows:
         assert _cone_rows(points) == direct_cone_rows(grid)
 
 
+class TestConeRowsPastInt64:
+    # Scaled by 10**12, (2 * peak)**2 passes 2**62, so the coordinates are held
+    # as Python integers in object arrays and run the same blocked code.
+    BIG = 10**12
+
+    def test_matches_direct_rule_across_block_boundaries(self):
+        rng = random.Random(7)
+        grid = [tuple(rng.randint(-4, 4) * self.BIG for _ in range(3)) for _ in range(ROW_BLOCK + 1)]
+        points = [tuple(Fraction(c, 2) for c in point) for point in grid]
+        assert _cone_rows(points) == direct_cone_rows(grid)
+
+    @settings(max_examples=150, deadline=None)
+    @given(cone_point_sets())
+    def test_scaling_leaves_the_rows_unchanged(self, points):
+        assert _cone_rows([tuple(c * self.BIG for c in p) for p in points]) == _cone_rows(points)
+
+    def test_one_point_with_huge_coordinates(self):
+        space = minkowski_space([[10**40, -(10**40), "1/3"]])
+        assert space.raw.rows == space.kplus.rows == (1,)
+
+
 class TestSprinkle:
     def test_deterministic(self):
         a = sprinkle_space(n=100, dim=2, box=[[0, 1], [-1, 1]], seed=42)

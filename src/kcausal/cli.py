@@ -28,8 +28,6 @@ from .structure import (
     CausalSpace,
     _label_sorted_pairs,
     enumerate_upsets,
-    generate,
-    generator_spec_from_jsonable,
     space_from_jsonable,
 )
 from .timefunctions import (
@@ -145,8 +143,7 @@ def _cmd_timefn(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    recipe = generator_spec_from_jsonable(_load_json(args.recipe))
-    space = generate(recipe)
+    space = space_from_jsonable(_load_json(args.recipe))
     _emit_space(space, args.relation, args.out)
     return 0
 

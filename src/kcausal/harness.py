@@ -67,19 +67,117 @@ __all__ = [
     "report_to_jsonable",
 ]
 
-SUITES = (
-    "prop2-closedness",
-    "prop2-transitivity",
-    "thm3-chain",
-    "thm4-oracle",
-    "lemma6",
-    "minguzzi",
-    "remark8",
-)
+# ---------------------------------------------------------------------------
+# Suite runners
 
-# Suites that enumerate linear extensions cap the instance size harder than
-# the subset-enumeration suites do.
-_ENUMERATION_SUITES = frozenset({"thm3-chain", "minguzzi", "remark8"})
+# A runner checks one trial's space; it returns None on a pass, or the
+# failure's fields for the replay bundle.
+Runner = Callable[[random.Random, CausalSpace], dict | None]
+
+
+def _closedness_runner(rng: random.Random, space: CausalSpace) -> dict | None:
+    mu, nu, _ = random_feasible_pair(rng, space)
+    mu_prime, nu_prime, _ = random_feasible_pair(rng, space)
+    ok = closedness_trial(space, mu, nu, mu_prime, nu_prime, steps=10)
+    return None if ok else dict(mu=mu, nu=nu, mu_prime=mu_prime, nu_prime=nu_prime)
+
+
+def _transitivity_runner(rng: random.Random, space: CausalSpace) -> dict | None:
+    mu = random_measure(rng, space.events)
+    nu, omega1 = random_forward_push(rng, space, mu)
+    rho, omega2 = random_forward_push(rng, space, nu)
+    ok = (
+        decide_k_causal(space, mu, nu).feasible
+        and decide_k_causal(space, nu, rho).feasible
+        and decide_k_causal(space, mu, rho).feasible
+        and verify_coupling(space, compose_couplings(omega1, omega2), mu, rho)
+    )
+    return None if ok else dict(mu=mu, nu=nu, rho=rho)
+
+
+def _chain_runner(rng: random.Random, space: CausalSpace) -> dict | None:
+    mu, nu = _random_pair(rng, space)
+    verdicts = implication_chain_trial(space, mu, nu)
+    violated = chain_violations(verdicts)
+    return dict(mu=mu, nu=nu, verdicts=verdicts, violated=violated) if violated else None
+
+
+def _oracle_runner(rng: random.Random, space: CausalSpace) -> dict | None:
+    mu, nu = _random_pair(rng, space)
+    cert = decide_k_causal(space, mu, nu)
+    oracle_feasible, oracle_violator = strassen_check(space, mu, nu)
+    ok = cert.feasible == oracle_feasible
+    if ok and cert.feasible:
+        ok = verify_coupling(space, cert.witness, mu, nu)
+    elif ok:
+        mask = space.events.mask_of(cert.violator)
+        ok = mu.mass_of_mask(mask) > nu.mass_of_mask(space.future_mask(mask))
+    if ok:
+        return None
+    return dict(
+        mu=mu,
+        nu=nu,
+        verdict=cert.verdict,
+        oracle_feasible=oracle_feasible,
+        oracle_violator=sorted(oracle_violator) if oracle_violator else None,
+    )
+
+
+def _lemma6_runner(rng: random.Random, space: CausalSpace) -> dict | None:
+    for mask in range(1 << space.n):
+        subset = space.events.labels_of(mask)
+        if not lemma_complement_check(space, subset):
+            return dict(subset=sorted(subset))
+    return None
+
+
+def _minguzzi_runner(rng: random.Random, space: CausalSpace) -> dict | None:
+    # Intersection order over all linear extensions, compared against the
+    # closure row by row; one random pair is re-checked through the public
+    # per-pair operation.  meets[i] keeps the events at or after i in every
+    # extension seen so far.
+    n = space.n
+    meets = [(1 << n) - 1] * n
+    for order in _linear_extensions(space):
+        suffix = 0
+        for j in reversed(order):
+            suffix |= 1 << j
+            meets[j] &= suffix
+    labels = space.events.labels
+    for i, (meet, row) in enumerate(zip(meets, space.kplus.rows)):
+        if meet != row:
+            j = ((meet ^ row) & -(meet ^ row)).bit_length() - 1
+            return dict(pair=[labels[i], labels[j]])
+    i = rng.randrange(n)
+    j = rng.randrange(n)
+    if minguzzi_check(space, labels[i], labels[j]) != bool(meets[i] >> j & 1):
+        return dict(pair=[labels[i], labels[j]], stage="per-pair")
+    return None
+
+
+def _remark8_runner(rng: random.Random, space: CausalSpace) -> dict | None:
+    mu, nu = _random_pair(rng, space)
+    open_verdict = condition4_check(space, mu, nu, half_line="open", mode="exhaustive")
+    closed_verdict = condition4_check(space, mu, nu, half_line="closed", mode="exhaustive")
+    if open_verdict == closed_verdict:
+        return None
+    return dict(mu=mu, nu=nu, open=open_verdict, closed=closed_verdict)
+
+
+# Each suite's runner and the largest ``max_events`` it accepts: the suites
+# that enumerate linear extensions cap the instance size harder than the
+# subset-enumeration suites do.
+_SUITES: dict[str, tuple[Runner, int]] = {
+    "prop2-closedness": (_closedness_runner, DEFAULT_UPSET_BOUND),
+    "prop2-transitivity": (_transitivity_runner, DEFAULT_UPSET_BOUND),
+    "thm3-chain": (_chain_runner, DEFAULT_ENUMERATION_BOUND),
+    "thm4-oracle": (_oracle_runner, DEFAULT_UPSET_BOUND),
+    "lemma6": (_lemma6_runner, DEFAULT_UPSET_BOUND),
+    "minguzzi": (_minguzzi_runner, DEFAULT_ENUMERATION_BOUND),
+    "remark8": (_remark8_runner, DEFAULT_ENUMERATION_BOUND),
+}
+
+SUITES = tuple(_SUITES)
 
 MEASURE_DENOMINATOR = 24
 
@@ -108,7 +206,7 @@ class TrialConfig:
         if self.max_events < 1:
             raise InputError("max_events must be positive")
         for name in ordered:
-            bound = DEFAULT_ENUMERATION_BOUND if name in _ENUMERATION_SUITES else DEFAULT_UPSET_BOUND
+            bound = _SUITES[name][1]
             if self.max_events > bound:
                 raise InputError(
                     f"suite {name!r} caps max_events at {bound}, got {self.max_events}"
@@ -169,16 +267,12 @@ def random_space(rng: random.Random, max_events: int) -> CausalSpace:
     return random_dag_space(n=n, edge_prob=edge_prob, seed=rng.randrange(SEED_SPAN))
 
 
-def random_measure(
-    rng: random.Random,
-    events,
-    denominator: int = MEASURE_DENOMINATOR,
-) -> Measure:
-    """Random composition of ``denominator`` unit weights over the events."""
+def random_measure(rng: random.Random, events) -> Measure:
+    """Random composition of ``MEASURE_DENOMINATOR`` unit weights over the events."""
     counts = [0] * len(events)
-    for _ in range(denominator):
+    for _ in range(MEASURE_DENOMINATOR):
         counts[rng.randrange(len(events))] += 1
-    weights = tuple(Fraction(c, denominator) for c in counts)
+    weights = tuple(Fraction(c, MEASURE_DENOMINATOR) for c in counts)
     return Measure(events=events, weights=weights)
 
 
@@ -215,12 +309,8 @@ def random_forward_push(
     return nu, omega
 
 
-def random_feasible_pair(
-    rng: random.Random,
-    space: CausalSpace,
-    denominator: int = MEASURE_DENOMINATOR,
-) -> tuple[Measure, Measure, Coupling]:
-    mu = random_measure(rng, space.events, denominator)
+def random_feasible_pair(rng: random.Random, space: CausalSpace) -> tuple[Measure, Measure, Coupling]:
+    mu = random_measure(rng, space.events)
     nu, omega = random_forward_push(rng, space, mu)
     return mu, nu, omega
 
@@ -232,13 +322,6 @@ def _random_pair(rng: random.Random, space: CausalSpace) -> tuple[Measure, Measu
         mu, nu, _ = random_feasible_pair(rng, space)
         return mu, nu
     return random_measure(rng, space.events), random_measure(rng, space.events)
-
-
-def _bundle(space: CausalSpace, **extra) -> dict:
-    out: dict = {"space": space_to_jsonable(space)}
-    for key, value in extra.items():
-        out[key] = measure_to_jsonable(value) if isinstance(value, Measure) else value
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -321,142 +404,22 @@ def chain_violations(verdicts: Mapping[str, bool | None]) -> list[str]:
     return out
 
 
-# ---------------------------------------------------------------------------
-# Suite runners
-
-Runner = Callable[[random.Random, int], tuple[bool, dict]]
-
-
-def _closedness_runner(rng: random.Random, max_events: int) -> tuple[bool, dict]:
-    space = random_space(rng, max_events)
-    mu, nu, _ = random_feasible_pair(rng, space)
-    mu_prime, nu_prime, _ = random_feasible_pair(rng, space)
-    if closedness_trial(space, mu, nu, mu_prime, nu_prime, steps=10):
-        return True, {}
-    return False, _bundle(space, mu=mu, nu=nu, mu_prime=mu_prime, nu_prime=nu_prime)
-
-
-def _transitivity_runner(rng: random.Random, max_events: int) -> tuple[bool, dict]:
-    space = random_space(rng, max_events)
-    mu = random_measure(rng, space.events)
-    nu, omega1 = random_forward_push(rng, space, mu)
-    rho, omega2 = random_forward_push(rng, space, nu)
-    ok = (
-        decide_k_causal(space, mu, nu).feasible
-        and decide_k_causal(space, nu, rho).feasible
-        and decide_k_causal(space, mu, rho).feasible
-        and verify_coupling(space, compose_couplings(omega1, omega2), mu, rho)
-    )
-    if ok:
-        return True, {}
-    return False, _bundle(space, mu=mu, nu=nu, rho=rho)
-
-
-def _chain_runner(rng: random.Random, max_events: int) -> tuple[bool, dict]:
-    space = random_space(rng, max_events)
-    mu, nu = _random_pair(rng, space)
-    verdicts = implication_chain_trial(space, mu, nu)
-    violated = chain_violations(verdicts)
-    if not violated:
-        return True, {}
-    return False, _bundle(space, mu=mu, nu=nu, verdicts=verdicts, violated=violated)
-
-
-def _oracle_runner(rng: random.Random, max_events: int) -> tuple[bool, dict]:
-    space = random_space(rng, max_events)
-    mu, nu = _random_pair(rng, space)
-    cert = decide_k_causal(space, mu, nu)
-    oracle_feasible, oracle_violator = strassen_check(space, mu, nu)
-    ok = cert.feasible == oracle_feasible
-    if ok and cert.feasible:
-        ok = verify_coupling(space, cert.witness, mu, nu)
-    elif ok:
-        mask = space.events.mask_of(cert.violator)
-        ok = mu.mass_of_mask(mask) > nu.mass_of_mask(space.future_mask(mask))
-    if ok:
-        return True, {}
-    return False, _bundle(
-        space,
-        mu=mu,
-        nu=nu,
-        verdict=cert.verdict,
-        oracle_feasible=oracle_feasible,
-        oracle_violator=sorted(oracle_violator) if oracle_violator else None,
-    )
-
-
-def _lemma6_runner(rng: random.Random, max_events: int) -> tuple[bool, dict]:
-    space = random_space(rng, max_events)
-    for mask in range(1 << space.n):
-        subset = space.events.labels_of(mask)
-        if not lemma_complement_check(space, subset):
-            return False, _bundle(space, subset=sorted(subset))
-    return True, {}
-
-
-def _minguzzi_runner(rng: random.Random, max_events: int) -> tuple[bool, dict]:
-    # Intersection order over all linear extensions, compared against the
-    # closure row by row; one random pair is re-checked through the public
-    # per-pair operation.  meets[i] keeps the events at or after i in every
-    # extension seen so far.
-    space = random_space(rng, max_events)
-    n = space.n
-    meets = [(1 << n) - 1] * n
-    for order in _linear_extensions(space):
-        suffix = 0
-        for j in reversed(order):
-            suffix |= 1 << j
-            meets[j] &= suffix
-    labels = space.events.labels
-    for i, (meet, row) in enumerate(zip(meets, space.kplus.rows)):
-        if meet != row:
-            j = ((meet ^ row) & -(meet ^ row)).bit_length() - 1
-            return False, _bundle(space, pair=[labels[i], labels[j]])
-    i = rng.randrange(n)
-    j = rng.randrange(n)
-    if minguzzi_check(space, labels[i], labels[j], max_events) != bool(meets[i] >> j & 1):
-        return False, _bundle(space, pair=[labels[i], labels[j]], stage="per-pair")
-    return True, {}
-
-
-def _remark8_runner(rng: random.Random, max_events: int) -> tuple[bool, dict]:
-    space = random_space(rng, max_events)
-    mu, nu = _random_pair(rng, space)
-    open_verdict = condition4_check(space, mu, nu, half_line="open", mode="exhaustive")
-    closed_verdict = condition4_check(space, mu, nu, half_line="closed", mode="exhaustive")
-    if open_verdict == closed_verdict:
-        return True, {}
-    return False, _bundle(space, mu=mu, nu=nu, open=open_verdict, closed=closed_verdict)
-
-
-_SUITE_RUNNERS: dict[str, Runner] = {
-    "prop2-closedness": _closedness_runner,
-    "prop2-transitivity": _transitivity_runner,
-    "thm3-chain": _chain_runner,
-    "thm4-oracle": _oracle_runner,
-    "lemma6": _lemma6_runner,
-    "minguzzi": _minguzzi_runner,
-    "remark8": _remark8_runner,
-}
-
-
 def run_suite(config: TrialConfig) -> TrialReport:
     """Run every configured suite for the configured number of trials."""
     counts = []
     failures = []
     for suite in config.suites:
-        runner = _SUITE_RUNNERS[suite]
-        passed = 0
-        failed = 0
+        runner = _SUITES[suite][0]
+        earlier = len(failures)
         for trial in range(config.trials):
             rng = random.Random(f"{config.seed}:{suite}:{trial}")
-            ok, bundle = runner(rng, config.max_events)
-            if ok:
-                passed += 1
-            else:
-                failed += 1
-                failures.append(
-                    {"suite": suite, "trial": trial, "seed": config.seed, **bundle}
-                )
-        counts.append((suite, passed, failed))
+            space = random_space(rng, config.max_events)
+            extra = runner(rng, space)
+            if extra is not None:
+                bundle = {"suite": suite, "trial": trial, "seed": config.seed, "space": space_to_jsonable(space)}
+                for key, value in extra.items():
+                    bundle[key] = measure_to_jsonable(value) if isinstance(value, Measure) else value
+                failures.append(bundle)
+        failed = len(failures) - earlier
+        counts.append((suite, config.trials - failed, failed))
     return TrialReport(config=config, counts=tuple(counts), failures=tuple(failures))

@@ -72,9 +72,14 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _is_integer(value) -> bool:
+    """True for an ``int`` that is not a ``bool`` (JSON ``true`` is not an integer)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _check_seed(seed: int):
-    if not 0 <= seed < SEED_SPAN:
-        raise InputError(f"seed must be an unsigned 64-bit integer, got {seed}")
+    if not _is_integer(seed) or not 0 <= seed < SEED_SPAN:
+        raise InputError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
 
 
 def _check_bound(what: str, n: int, max_events: int):
@@ -469,7 +474,9 @@ class GeneratorSpec:
     ``kind`` is one of ``explicit`` (labels plus a pair list), ``minkowski``
     (coordinate points under the closed cone rule), ``sprinkle`` (seeded
     uniform points in a box, then the cone rule), or ``random-dag`` (seeded
-    random edges respecting the vertex order).
+    random edges respecting the vertex order).  ``_KINDS`` lists, once, the
+    fields each kind needs and the builder :func:`generate` passes them to,
+    together with ``labels``.
     """
 
     kind: str
@@ -483,22 +490,18 @@ class GeneratorSpec:
     seed: int | None = None
 
     def __post_init__(self):
-        if self.kind == "explicit":
-            if self.labels is None or self.pairs is None:
-                raise InputError("explicit generator needs labels and pairs")
-        elif self.kind == "minkowski":
-            if self.points is None:
-                raise InputError("minkowski generator needs points")
-        elif self.kind == "sprinkle":
-            if self.n is None or self.dim is None or self.box is None or self.seed is None:
-                raise InputError("sprinkle generator needs n, dim, box, and seed")
-        elif self.kind == "random-dag":
-            if self.n is None or self.edge_prob is None or self.seed is None:
-                raise InputError("random-dag generator needs n, edge probability, and seed")
-        else:
-            raise InputError(f"unknown generator kind: {self.kind!r}")
+        missing = [name for name in _kind_fields(self.kind) if getattr(self, name) is None]
+        if missing:
+            raise InputError(f"{self.kind} generator needs {', '.join(missing)}")
         if self.seed is not None:
             _check_seed(self.seed)
+
+
+def _kind_fields(kind) -> tuple[str, ...]:
+    """The ``GeneratorSpec`` fields generator ``kind`` needs."""
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise InputError(f"unknown generator kind: {kind!r}")
+    return _KINDS[kind][1]
 
 
 def default_labels(n: int) -> tuple[str, ...]:
@@ -645,84 +648,88 @@ def random_dag_space(
     return CausalSpace.from_raw(events, CausalRelation(n, tuple(rows)))
 
 
+# Each generator kind's builder and the GeneratorSpec fields it needs.  Every
+# builder also takes ``labels`` (optional except for ``explicit``), and its
+# parameters are named like the fields.
+_KINDS = {
+    "explicit": (explicit_space, ("labels", "pairs")),
+    "minkowski": (minkowski_space, ("points",)),
+    "sprinkle": (sprinkle_space, ("n", "dim", "box", "seed")),
+    "random-dag": (random_dag_space, ("n", "edge_prob", "seed")),
+}
+
+
 def generate(spec: GeneratorSpec) -> CausalSpace:
     """Materialize a generator recipe; deterministic for a fixed seed."""
-    if spec.kind == "explicit":
-        return explicit_space(spec.labels, spec.pairs)
-    if spec.kind == "minkowski":
-        return minkowski_space(spec.points, labels=spec.labels)
-    if spec.kind == "sprinkle":
-        return sprinkle_space(spec.n, spec.dim, spec.box, spec.seed, labels=spec.labels)
-    if spec.kind == "random-dag":
-        return random_dag_space(spec.n, spec.edge_prob, spec.seed, labels=spec.labels)
-    raise InputError(f"unknown generator kind: {spec.kind!r}")
+    build, needs = _KINDS[spec.kind]
+    return build(**{name: getattr(spec, name) for name in ("labels", *needs)})
 
 
 # ---------------------------------------------------------------------------
 # JSON formats
 
 
+def _json_labels(key: str, value) -> tuple[str, ...]:
+    if not isinstance(value, list) or not all(isinstance(label, str) for label in value):
+        raise InputError(f"spacetime spec {key!r} must give labels as a list of strings")
+    return tuple(value)
+
+
+def _json_lists(key: str, value, width: int | None = None) -> list[list]:
+    """``value``, checked to be a list of lists, each ``width`` long if ``width`` is given."""
+    if not isinstance(value, list) or not all(isinstance(x, list) and width in (None, len(x)) for x in value):
+        shape = f"lists of {width} entries" if width else "lists"
+        raise InputError(f"spacetime spec {key!r} must be a list of {shape}")
+    return value
+
+
+def _json_integer(key: str, value) -> int:
+    if not _is_integer(value):
+        raise InputError(f"spacetime spec {key!r} must be a JSON integer, got {value!r}")
+    return value
+
+
+def _json_probability(key: str, value) -> float:
+    try:
+        return float(parse_rational(value))
+    except OverflowError as exc:
+        raise InputError(f"spacetime spec {key!r} is out of range: {value!r}") from exc
+
+
+# Per GeneratorSpec field: its key in a JSON recipe and that key's reader.
+_JSON_FIELDS = {
+    "labels": ("events", _json_labels),
+    "pairs": ("pairs", lambda key, v: tuple(_json_labels(key, pair) for pair in _json_lists(key, v, 2))),
+    "points": ("points", lambda key, v: tuple(tuple(map(parse_rational, x)) for x in _json_lists(key, v))),
+    "n": ("n", _json_integer),
+    "dim": ("dim", _json_integer),
+    "box": ("box", lambda key, v: tuple(tuple(map(parse_rational, x)) for x in _json_lists(key, v, 2))),
+    "edge_prob": ("p", _json_probability),
+    "seed": ("seed", _json_integer),
+}
+
+
 def generator_spec_from_jsonable(obj) -> GeneratorSpec:
+    """Recipe of a JSON spacetime: a ``kind`` object or the explicit ``events``/``relation`` form."""
     if not isinstance(obj, dict):
         raise InputError("spacetime spec must be a JSON object")
-    if "kind" in obj:
-        kind = obj["kind"]
-        if not isinstance(obj.get("events", []), list):
-            raise InputError("spacetime spec 'events' must be a list of labels")
-        labels = tuple(obj["events"]) if "events" in obj else None
-        if kind == "minkowski":
-            points = obj.get("points")
-            if not isinstance(points, list) or not all(isinstance(p, list) for p in points):
-                raise InputError("minkowski spec needs a list of points")
-            return GeneratorSpec(
-                kind="minkowski",
-                labels=labels,
-                points=tuple(tuple(parse_rational(c) for c in point) for point in points),
-            )
-        if kind == "sprinkle":
-            try:
-                box = tuple((parse_rational(lo), parse_rational(hi)) for lo, hi in obj["box"])
-                return GeneratorSpec(
-                    kind="sprinkle",
-                    labels=labels,
-                    n=int(obj["n"]),
-                    dim=int(obj["dim"]),
-                    box=box,
-                    seed=int(obj["seed"]),
-                )
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                raise InputError(f"malformed sprinkle spec: {exc}") from exc
-        if kind == "random-dag":
-            try:
-                return GeneratorSpec(
-                    kind="random-dag",
-                    labels=labels,
-                    n=int(obj["n"]),
-                    edge_prob=float(parse_rational(obj["p"])),
-                    seed=int(obj["seed"]),
-                )
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                raise InputError(f"malformed random-dag spec: {exc}") from exc
-        if kind == "explicit":
-            return _explicit_spec(obj.get("events"), obj.get("pairs"))
-        raise InputError(f"unknown generator kind: {kind!r}")
-    if "events" in obj and "relation" in obj:
+    if "kind" not in obj:
+        if "events" not in obj or "relation" not in obj:
+            raise InputError("spacetime spec needs either a 'kind' or 'events' plus 'relation'")
         relation = obj["relation"]
         if not isinstance(relation, dict) or relation.get("kind") != "explicit":
             raise InputError("embedded relation must have kind 'explicit'")
-        return _explicit_spec(obj["events"], relation.get("pairs"))
-    raise InputError("spacetime spec needs either a 'kind' or 'events' plus 'relation'")
-
-
-def _explicit_spec(events, pairs) -> GeneratorSpec:
-    if not isinstance(events, list) or not isinstance(pairs, list):
-        raise InputError("explicit spec needs an event list and a pair list")
-    clean = []
-    for pair in pairs:
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise InputError(f"malformed relation pair: {pair!r}")
-        clean.append((str(pair[0]), str(pair[1])))
-    return GeneratorSpec(kind="explicit", labels=tuple(str(e) for e in events), pairs=tuple(clean))
+        obj = {**relation, "events": obj["events"]}
+    kind = obj["kind"]
+    needs = _kind_fields(kind)
+    fields = {}
+    for name in dict.fromkeys(("labels", *needs)):
+        key, read = _JSON_FIELDS[name]
+        if key in obj:
+            fields[name] = read(key, obj[key])
+        elif name in needs:
+            raise InputError(f"{kind} spec needs {key!r}")
+    return GeneratorSpec(kind=kind, **fields)
 
 
 def space_from_jsonable(obj) -> CausalSpace:
@@ -738,6 +745,8 @@ def space_to_jsonable(space: CausalSpace, relation: str = "raw") -> dict:
 
 def _label_sorted_pairs(space: CausalSpace, relation: str) -> Iterator[tuple[int, int]]:
     """Index pairs of the raw relation or the closure, sorted by (cause, effect) label."""
+    if relation not in ("raw", "kplus"):
+        raise InputError(f"relation must be 'raw' or 'kplus', got {relation!r}")
     rows = space.raw.rows if relation == "raw" else space.kplus.rows
     label = space.events.labels.__getitem__
     for i in sorted(range(space.n), key=label):

@@ -267,6 +267,20 @@ class TestGenerate:
         spec = write(tmp_path, "spec.json", {"kind": "torus", "n": 3})
         assert run_cli("generate", spec).returncode == 2
 
+    def test_loose_recipes_exit_two_with_one_line(self, tmp_path):
+        # Each of these used to run as a nearby valid recipe (seed 7, n 6, label "1").
+        for recipe in (
+            {"kind": "random-dag", "n": 6, "p": 0.4, "seed": 7.9},
+            {"kind": "random-dag", "n": 6.5, "p": 0.4, "seed": 7},
+            {"kind": "random-dag", "n": 6, "p": 0.4, "seed": "7"},
+            {"kind": "random-dag", "n": True, "p": 0.4, "seed": 7},
+            {"events": ["a", 1], "relation": {"kind": "explicit", "pairs": []}},
+        ):
+            result = run_cli("generate", write(tmp_path, "spec.json", recipe))
+            assert result.returncode == 2, recipe
+            assert result.stderr.count("\n") == 1, result.stderr
+            assert "Traceback" not in result.stderr
+
 
 class TestVerify:
     def test_single_suite(self, tmp_path):

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
 
+from kcausal import cli, harness
 from kcausal import (
     SUITES,
     InputError,
@@ -17,12 +19,14 @@ from kcausal import (
     dirac,
     implication_chain_trial,
     measure,
+    measure_from_jsonable,
     random_feasible_pair,
     random_forward_push,
     random_measure,
     random_space,
     report_to_jsonable,
     run_suite,
+    space_from_jsonable,
     uniform_measure,
     verify_coupling,
 )
@@ -234,3 +238,40 @@ class TestRunSuite:
         for seed in (1, 2, 3):
             report = run_suite(TrialConfig(trials=3, seed=seed))
             assert report.ok, report.failures
+
+
+class TestFailingTrial:
+    """A failing trial is reported with a bundle that replays it."""
+
+    # (suite, harness fact forced false, the fields the suite's runner adds)
+    CASES = [
+        ("lemma6", "lemma_complement_check", {"subset"}),
+        ("prop2-transitivity", "verify_coupling", {"mu", "nu", "rho"}),
+    ]
+
+    @pytest.mark.parametrize("suite, fact, fields", CASES)
+    def test_bundle_rebuilds_the_trial(self, monkeypatch, suite, fact, fields):
+        monkeypatch.setattr(harness, fact, lambda *args: False)
+        config = TrialConfig(suites=(suite,), trials=3, seed=9)
+        report = run_suite(config)
+        assert report.counts == ((suite, 0, 3),)
+        assert not report.ok
+        json.dumps(report_to_jsonable(report))
+        for trial, failure in enumerate(report.failures):
+            assert set(failure) == {"suite", "trial", "seed", "space"} | fields
+            assert (failure["suite"], failure["trial"], failure["seed"]) == (suite, trial, 9)
+            # Each trial draws its space first from its own seeded stream.
+            drawn = random_space(random.Random(f"9:{suite}:{trial}"), config.max_events)
+            rebuilt = space_from_jsonable(failure["space"])
+            assert rebuilt.events.labels == drawn.events.labels
+            assert rebuilt.raw.rows == drawn.raw.rows
+            for name in fields - {"subset"}:
+                measure_from_jsonable(failure[name], rebuilt.events)
+
+    @pytest.mark.parametrize("suite, fact, fields", CASES)
+    def test_verify_exits_one(self, monkeypatch, tmp_path, capsys, suite, fact, fields):
+        monkeypatch.setattr(harness, fact, lambda *args: False)
+        report = tmp_path / "report.json"
+        assert cli.main(["verify", "--suite", suite, "--trials", "2", "--report", str(report)]) == 1
+        assert f"{suite}: 0 passed, 2 failed" in capsys.readouterr().out
+        assert len(json.loads(report.read_text(encoding="utf-8"))["failures"]) == 2

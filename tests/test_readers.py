@@ -77,6 +77,10 @@ READER_SETTINGS = settings(deadline=None)
 @example({"kind": "minkowski", "points": [5, 6]})
 @example({"kind": "random-dag", "n": 3, "p": "1e400", "seed": 0})
 @example({"kind": "sprinkle", "n": float("inf"), "dim": 2, "box": [[0, 1], [0, 1]], "seed": 0})
+@example({"kind": "random-dag", "n": 6, "p": 0.4, "seed": 7.9})
+@example({"kind": "random-dag", "n": "6", "p": 0.4, "seed": 7})
+@example({"kind": "random-dag", "n": True, "p": 0.4, "seed": 7})
+@example({"kind": "explicit", "events": [1, None], "pairs": []})
 def test_space_reader(obj):
     reads_or_refuses(space_from_jsonable, obj)
 

@@ -183,7 +183,9 @@ SEED_TAKERS = {
 }
 
 
-@pytest.mark.parametrize("seed", [-1, SEED_SPAN])
+# Besides the ends of the span: a float, a bool and a string are not seeds,
+# though random.Random would take each of them.
+@pytest.mark.parametrize("seed", [-1, SEED_SPAN, 1.5, True, "7"])
 @pytest.mark.parametrize("taker", SEED_TAKERS)
 def test_seed_takers_reject_seeds_outside_the_span_alike(taker, seed):
     with pytest.raises(InputError) as expected:

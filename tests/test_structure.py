@@ -34,7 +34,7 @@ from kcausal import (
     sprinkle_space,
     upset_masks,
 )
-from kcausal.structure import ROW_BLOCK, SPRINKLE_GRID, _cone_rows, find_cycle_pair, iter_bits
+from kcausal.structure import _KINDS, ROW_BLOCK, SPRINKLE_GRID, _cone_rows, find_cycle_pair, iter_bits
 
 
 def pair_set(space, relation="kplus"):
@@ -401,7 +401,7 @@ class TestGeneratorSpec:
             GeneratorSpec(kind="torus")
 
     def test_missing_parameters(self):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="sprinkle generator needs seed"):
             GeneratorSpec(kind="sprinkle", n=5, dim=2, box=((Fraction(0), Fraction(1)),))
 
     def test_seed_range(self):
@@ -411,11 +411,41 @@ class TestGeneratorSpec:
             GeneratorSpec(kind="random-dag", n=3, edge_prob=0.5, seed=2**64)
 
     def test_generate_dispatch_matches_direct_calls(self):
-        spec = GeneratorSpec(kind="random-dag", n=6, edge_prob=0.5, seed=12)
-        assert generate(spec).raw.rows == random_dag_space(6, 0.5, 12).raw.rows
+        box = ((Fraction(0), Fraction(1)), (Fraction(-1), Fraction(1)))
+        points = ((Fraction(0), Fraction(0)), (Fraction(1), Fraction(1, 2)))
+        # One spec per generator kind, with the direct call it must match.
+        cases = {
+            "explicit": (
+                GeneratorSpec(kind="explicit", labels=("a", "b", "c"), pairs=(("a", "b"), ("c", "b"))),
+                explicit_space(["a", "b", "c"], [("a", "b"), ("c", "b")]),
+            ),
+            "minkowski": (
+                GeneratorSpec(kind="minkowski", labels=("p", "q"), points=points),
+                minkowski_space(points, labels=["p", "q"]),
+            ),
+            "sprinkle": (
+                GeneratorSpec(kind="sprinkle", n=8, dim=2, box=box, seed=4),
+                sprinkle_space(8, 2, box, 4),
+            ),
+            "random-dag": (
+                GeneratorSpec(kind="random-dag", n=6, edge_prob=0.5, seed=12),
+                random_dag_space(6, 0.5, 12),
+            ),
+        }
+        assert set(cases) == set(_KINDS)
+        for kind, (spec, direct) in cases.items():
+            got = generate(spec)
+            assert got.events == direct.events, kind
+            assert got.raw.rows == direct.raw.rows, kind
+            assert got.kplus.rows == direct.kplus.rows, kind
 
 
 class TestJsonFormats:
+    def test_unknown_relation_is_refused(self, diamond):
+        # Anything but "raw" used to be read as the closure.
+        with pytest.raises(InputError, match="'raw' or 'kplus'"):
+            space_to_jsonable(diamond, relation="bogus")
+
     def test_explicit_round_trip(self, diamond):
         obj = space_to_jsonable(diamond)
         again = space_from_jsonable(obj)
@@ -443,6 +473,19 @@ class TestJsonFormats:
             {"kind": "minkowski"},
             {"kind": "sprinkle", "n": 5},
             {"events": ["a"], "relation": {"kind": "explicit", "pairs": [["a"]]}},
+            # Counts and seeds are JSON integers and labels JSON strings, in every
+            # spec form, and a box side is a two-entry list (not a string "01").
+            {"kind": "random-dag", "n": 6, "p": 0.4, "seed": 7.9},
+            {"kind": "random-dag", "n": 6.5, "p": 0.4, "seed": 7},
+            {"kind": "random-dag", "n": 6, "p": 0.4, "seed": "7"},
+            {"kind": "random-dag", "n": True, "p": 0.4, "seed": 7},
+            {"kind": "sprinkle", "n": 6, "dim": 2.0, "box": [[0, 1], [0, 1]], "seed": 0},
+            {"kind": "sprinkle", "n": 6, "dim": 2, "box": ["01", "01"], "seed": 0},
+            {"kind": "random-dag", "events": ["a", 2], "n": 2, "p": 0.5, "seed": 0},
+            {"kind": "minkowski", "events": [0, 1], "points": [[0, 0], [1, 0]]},
+            {"kind": "explicit", "events": [1, None], "pairs": []},
+            {"kind": "explicit", "events": ["a", "1"], "pairs": [["a", 1]]},
+            {"events": [1, 2], "relation": {"kind": "explicit", "pairs": []}},
         ):
             with pytest.raises(InputError):
                 generator_spec_from_jsonable(bad)

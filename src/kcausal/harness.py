@@ -25,7 +25,9 @@ from .structure import (
     DEFAULT_UPSET_BOUND,
     SEED_SPAN,
     CausalSpace,
+    _check_count,
     _check_seed,
+    _require_same_events,
     _scaled,
     iter_bits,
     lemma_complement_check,
@@ -156,6 +158,8 @@ def _minguzzi_runner(rng: random.Random, space: CausalSpace) -> dict | None:
 
 
 def _remark8_runner(rng: random.Random, space: CausalSpace) -> dict | None:
+    # condition4_check runs one scan for both half-line variants, so they agree by construction;
+    # the per-threshold oracle in tests/test_exhaustive_oracles.py is what tells them apart.
     mu, nu = _random_pair(rng, space)
     open_verdict = condition4_check(space, mu, nu, half_line="open", mode="exhaustive")
     closed_verdict = condition4_check(space, mu, nu, half_line="closed", mode="exhaustive")
@@ -200,11 +204,9 @@ class TrialConfig:
         if not ordered:
             raise InputError("at least one suite is required")
         object.__setattr__(self, "suites", ordered)
-        if self.trials < 1:
-            raise InputError("trial count must be positive")
+        _check_count("trial count", self.trials)
         _check_seed(self.seed)
-        if self.max_events < 1:
-            raise InputError("max_events must be positive")
+        _check_count("max_events", self.max_events)
         for name in ordered:
             bound = _SUITES[name][1]
             if self.max_events > bound:
@@ -286,6 +288,7 @@ def random_forward_push(
     The returned measure dominates ``mu`` by construction and the returned
     coupling witnesses it.
     """
+    _require_same_events(space, mu)
     den, (scaled,) = _scaled(mu.weights)
     rows = space.kplus.rows
     pair_units: dict[tuple[int, int], int] = {}
@@ -343,8 +346,7 @@ def closedness_trial(
     the decision procedure, and checks that the distance to the limit is
     exactly the endpoint distance divided by n.
     """
-    if steps < 1:
-        raise InputError("steps must be positive")
+    _check_count("step count", steps)
     base = decide_k_causal(space, mu, nu)
     prime = decide_k_causal(space, mu_prime, nu_prime)
     if not base.feasible or not prime.feasible:

@@ -14,7 +14,7 @@ from functools import cached_property
 from typing import Iterable, Mapping
 
 from .errors import InputError
-from .structure import CausalSpace, EventSet, _scaled, iter_bits, parse_rational
+from .structure import EventSet, _rationals, _require_same_events, _scaled, iter_bits, parse_rational
 
 __all__ = [
     "Measure",
@@ -55,16 +55,15 @@ class Measure:
     weights: tuple[Fraction, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "weights", _rationals(self.weights))
         if len(self.weights) != len(self.events):
             raise InputError("measure needs one weight per event")
-        if any(not isinstance(w, Fraction) for w in self.weights):
-            object.__setattr__(self, "weights", tuple(Fraction(w) for w in self.weights))
         negatives = [self.events.labels[i] for i, w in enumerate(self.weights) if w < 0]
         if negatives:
             raise InputError(f"negative weight on {negatives[0]!r}")
-        total = sum(self.weights)
-        if total != 1:
-            raise InputError(f"weights sum to {format_rational(total)}, expected exactly 1")
+        den, (units,) = self._integer_weights
+        if sum(units) != den:
+            raise InputError(f"weights sum to {format_rational(Fraction(sum(units), den))}, expected exactly 1")
 
     @cached_property
     def admissible(self) -> bool:
@@ -92,16 +91,6 @@ class Measure:
             if w > 0:
                 mask |= 1 << i
         return mask
-
-
-def _require_same_events(mu: Measure, nu: Measure):
-    if mu.events.labels != nu.events.labels:
-        raise InputError("measures live on different event sets")
-
-
-def _require_measures_on(space: CausalSpace, mu: Measure, nu: Measure):
-    if mu.events.labels != space.events.labels or nu.events.labels != space.events.labels:
-        raise InputError("measures live on a different event set than the space")
 
 
 def measure(events: EventSet, weights: Mapping[str, object]) -> Measure:
@@ -132,11 +121,16 @@ def tv_distance(mu: Measure, nu: Measure) -> Fraction:
     return sum(abs(a - b) for a, b in zip(mu.weights, nu.weights)) / 2
 
 
-def convex_combination(lam, mu: Measure, nu: Measure) -> Measure:
-    """Pointwise mixture ``lam * mu + (1 - lam) * nu`` for ``lam`` in [0, 1]."""
+def _mixture_coefficient(lam) -> Fraction:
     lam = parse_rational(lam)
     if not 0 <= lam <= 1:
         raise InputError(f"mixture coefficient {format_rational(lam)} outside [0, 1]")
+    return lam
+
+
+def convex_combination(lam, mu: Measure, nu: Measure) -> Measure:
+    """Pointwise mixture ``lam * mu + (1 - lam) * nu`` for ``lam`` in [0, 1]."""
+    lam = _mixture_coefficient(lam)
     _require_same_events(mu, nu)
     weights = tuple(lam * a + (1 - lam) * b for a, b in zip(mu.weights, nu.weights))
     return Measure(events=mu.events, weights=weights)
@@ -154,6 +148,8 @@ def integrate(mu: Measure, f) -> Fraction:
             raise InputError(f"integrand missing value for {missing[0]!r}")
         vec = [f[lab] for lab in mu.events.labels]
     else:
+        if hasattr(f, "events"):
+            _require_same_events(mu, f)
         vec = list(getattr(f, "values", f))
         if len(vec) != len(mu.events):
             raise InputError("integrand must provide one value per event")

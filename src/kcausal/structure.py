@@ -82,7 +82,13 @@ def _check_seed(seed: int):
         raise InputError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
 
 
+def _check_count(what: str, value, least: int = 1):
+    if not _is_integer(value) or value < least:
+        raise InputError(f"{what} must be an integer of at least {least}")
+
+
 def _check_bound(what: str, n: int, max_events: int):
+    _check_count("max_events", max_events)
     if n > max_events:
         raise BoundExceededError(f"{what} refuses n={n} events (bound {max_events})")
 
@@ -110,6 +116,13 @@ def parse_rational(value) -> Fraction:
     raise InputError(f"expected a number, got {value!r}")
 
 
+def _rationals(values) -> tuple[Fraction, ...]:
+    """``values`` as a tuple read by :func:`parse_rational`; a tuple of ``Fraction`` is returned as is."""
+    if type(values) is tuple and all(isinstance(v, Fraction) for v in values):
+        return values
+    return tuple(map(parse_rational, values))
+
+
 def _exponent_exceeds_digit_limit(text: str) -> bool:
     _, marker, exponent = text.lower().partition("e")
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -133,6 +146,7 @@ class EventSet:
     coords: tuple[tuple[Fraction, ...], ...] | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "labels", tuple(self.labels or ()))
         if not self.labels:
             raise InputError("event set must contain at least one event")
         if any(not isinstance(lab, str) or not lab for lab in self.labels):
@@ -183,8 +197,7 @@ class CausalRelation:
     rows: tuple[int, ...]
 
     def __post_init__(self):
-        if self.n < 1:
-            raise InputError("relation needs at least one event")
+        _check_count("event count", self.n)
         if len(self.rows) != self.n:
             raise InputError("relation must have one row per event")
         limit = 1 << self.n
@@ -234,6 +247,12 @@ class CausalRelation:
             for j, part in enumerate(_packed_rows(_unpacked(self.rows[lo : lo + ROW_BLOCK], self.n).T)):
                 cols[j] |= part << lo
         return CausalRelation(self.n, tuple(cols))
+
+
+def _require_same_events(first, *others):
+    """Refuse spaces, measures, couplings or time functions whose event labels differ from ``first``'s."""
+    if any(other.events.labels != first.events.labels for other in others):
+        raise InputError("arguments live on different event sets")
 
 
 def kplus_closure(raw: CausalRelation) -> CausalRelation:
@@ -486,7 +505,7 @@ class GeneratorSpec:
     n: int | None = None
     dim: int | None = None
     box: tuple[tuple[Fraction, Fraction], ...] | None = None
-    edge_prob: float | None = None
+    edge_prob: Fraction | float | str | None = None
     seed: int | None = None
 
     def __post_init__(self):
@@ -505,12 +524,13 @@ def _kind_fields(kind) -> tuple[str, ...]:
 
 
 def default_labels(n: int) -> tuple[str, ...]:
-    width = len(str(n - 1)) if n > 1 else 1
+    _check_count("event count", n)
+    width = len(str(n - 1))
     return tuple(f"e{i:0{width}d}" for i in range(n))
 
 
 def explicit_space(labels: Sequence[str], pairs: Iterable[tuple[str, str]]) -> CausalSpace:
-    events = EventSet(labels=tuple(labels))
+    events = EventSet(labels=labels)
     rows = [0] * len(events)
     for cause, effect in pairs:
         rows[events.index_of(cause)] |= 1 << events.index_of(effect)
@@ -593,10 +613,7 @@ def _order_links(rows: Sequence[int], members: Sequence[int]) -> tuple[list[list
 
 def minkowski_space(points: Sequence[Sequence], labels: Sequence[str] | None = None) -> CausalSpace:
     pts = tuple(tuple(parse_rational(c) for c in point) for point in points)
-    if not pts:
-        raise InputError("minkowski generator needs at least one point")
-    labs = tuple(labels) if labels is not None else default_labels(len(pts))
-    events = EventSet(labels=labs, coords=pts)
+    events = EventSet(labels=default_labels(len(pts)) if labels is None else labels, coords=pts)
     # The closed cone is already reflexive and transitive: it is its own closure.
     cone = CausalRelation(len(pts), _cone_rows(pts))
     return CausalSpace(events=events, raw=cone, kplus=cone)
@@ -609,10 +626,8 @@ def sprinkle_space(
     seed: int,
     labels: Sequence[str] | None = None,
 ) -> CausalSpace:
-    if n < 1:
-        raise InputError("sprinkle needs at least one event")
-    if dim < 2:
-        raise InputError("sprinkle dimension must be at least 2 (time plus space)")
+    _check_count("event count", n)
+    _check_count("sprinkle dimension (time plus space)", dim, least=2)
     bounds = tuple((parse_rational(lo), parse_rational(hi)) for lo, hi in box)
     if len(bounds) != dim:
         raise InputError("box must provide one [lo, hi] interval per dimension")
@@ -624,27 +639,28 @@ def sprinkle_space(
         tuple(lo + (hi - lo) * Fraction(rng.randrange(SPRINKLE_GRID + 1), SPRINKLE_GRID) for lo, hi in bounds)
         for _ in range(n)
     ]
-    return minkowski_space(points, labels=labels if labels is not None else default_labels(n))
+    return minkowski_space(points, labels=labels)
 
 
 def random_dag_space(
     n: int,
-    edge_prob: float,
+    edge_prob: Fraction | float | str,
     seed: int,
     labels: Sequence[str] | None = None,
 ) -> CausalSpace:
-    if n < 1:
-        raise InputError("random-dag needs at least one event")
-    if not 0.0 <= edge_prob <= 1.0:
+    _check_count("event count", n)
+    p = parse_rational(edge_prob)
+    if not 0 <= p <= 1:
         raise InputError("edge probability must lie in [0, 1]")
     _check_seed(seed)
     rng = random.Random(seed)
+    coin = float(p)  # the coins are floats, so they meet p's nearest float
     rows = [0] * n
     for i in range(n):
         for j in range(i + 1, n):
-            if rng.random() < edge_prob:
+            if rng.random() < coin:
                 rows[i] |= 1 << j
-    events = EventSet(labels=tuple(labels) if labels is not None else default_labels(n))
+    events = EventSet(labels=default_labels(n) if labels is None else labels)
     return CausalSpace.from_raw(events, CausalRelation(n, tuple(rows)))
 
 
@@ -671,7 +687,7 @@ def generate(spec: GeneratorSpec) -> CausalSpace:
 
 def _json_labels(key: str, value) -> tuple[str, ...]:
     if not isinstance(value, list) or not all(isinstance(label, str) for label in value):
-        raise InputError(f"spacetime spec {key!r} must give labels as a list of strings")
+        raise InputError(f"JSON {key!r} must give labels as a list of strings")
     return tuple(value)
 
 
@@ -679,7 +695,7 @@ def _json_lists(key: str, value, width: int | None = None) -> list[list]:
     """``value``, checked to be a list of lists, each ``width`` long if ``width`` is given."""
     if not isinstance(value, list) or not all(isinstance(x, list) and width in (None, len(x)) for x in value):
         shape = f"lists of {width} entries" if width else "lists"
-        raise InputError(f"spacetime spec {key!r} must be a list of {shape}")
+        raise InputError(f"JSON {key!r} must be a list of {shape}")
     return value
 
 
@@ -687,13 +703,6 @@ def _json_integer(key: str, value) -> int:
     if not _is_integer(value):
         raise InputError(f"spacetime spec {key!r} must be a JSON integer, got {value!r}")
     return value
-
-
-def _json_probability(key: str, value) -> float:
-    try:
-        return float(parse_rational(value))
-    except OverflowError as exc:
-        raise InputError(f"spacetime spec {key!r} is out of range: {value!r}") from exc
 
 
 # Per GeneratorSpec field: its key in a JSON recipe and that key's reader.
@@ -704,7 +713,7 @@ _JSON_FIELDS = {
     "n": ("n", _json_integer),
     "dim": ("dim", _json_integer),
     "box": ("box", lambda key, v: tuple(tuple(map(parse_rational, x)) for x in _json_lists(key, v, 2))),
-    "edge_prob": ("p", _json_probability),
+    "edge_prob": ("p", lambda key, v: v),
     "seed": ("seed", _json_integer),
 }
 

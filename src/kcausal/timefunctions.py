@@ -19,14 +19,17 @@ from itertools import accumulate
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import InputError, NotStablyCausalError
-from .measures import Measure, _require_measures_on, format_rational, integrate, parse_rational
+from .measures import Measure, format_rational, integrate, parse_rational
 from .structure import (
     DEFAULT_UPSET_BOUND,
     SEED_SPAN,
     CausalSpace,
     EventSet,
     _check_bound,
+    _check_count,
     _check_seed,
+    _rationals,
+    _require_same_events,
     _scaled,
     find_cycle_pair,
     iter_bits,
@@ -61,10 +64,9 @@ class TimeFunction:
     values: tuple[Fraction, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "values", _rationals(self.values))
         if len(self.values) != len(self.events):
             raise InputError("one value per event required")
-        if any(not isinstance(v, Fraction) for v in self.values):
-            object.__setattr__(self, "values", tuple(Fraction(v) for v in self.values))
 
     def value_of(self, label: str) -> Fraction:
         return self.values[self.events.index_of(label)]
@@ -103,17 +105,11 @@ def is_strictly_monotone(space: CausalSpace, timefn: TimeFunction) -> bool:
 def time_function(space: CausalSpace, values: Mapping[str, object]) -> TimeFunction:
     """Validated time function from a label-to-value mapping."""
     _require_stably_causal(space)
-    labels = space.events.labels
-    missing = [x for x in labels if x not in values]
+    space.events.mask_of(values)  # refuses unknown labels
+    missing = [x for x in space.events.labels if x not in values]
     if missing:
         raise InputError(f"missing time values for events {sorted(missing)}")
-    extra = [x for x in values if x not in space.events.index]
-    if extra:
-        raise InputError(f"time values for unknown events {sorted(extra)}")
-    timefn = TimeFunction(
-        events=space.events,
-        values=tuple(parse_rational(values[x]) for x in labels),
-    )
+    timefn = TimeFunction(events=space.events, values=[values[x] for x in space.events.labels])
     if not is_strictly_monotone(space, timefn):
         raise InputError("values do not strictly increase along the causal order")
     return timefn
@@ -220,8 +216,7 @@ def future_volume_timefn(space: CausalSpace, eta: Measure, lam, y: Iterable[str]
     ``p`` lies in ``Y``.
     """
     _require_stably_causal(space)
-    if eta.events.labels != space.events.labels:
-        raise InputError("reference measure lives on a different event set")
+    _require_same_events(space, eta)
     if not eta.admissible:
         raise InputError("reference measure must put positive weight on every event")
     lam = parse_rational(lam)
@@ -267,8 +262,7 @@ def _default_epsilon(space: CausalSpace) -> Fraction:
 
 def _sampled_timefns(space: CausalSpace, samples: int, seed: int) -> Iterator[TimeFunction]:
     # The count and the seed are checked now; the samples are drawn as they are consumed.
-    if samples < 1:
-        raise InputError("sample count must be positive")
+    _check_count("sample count", samples)
     _check_seed(seed)
     rng = random.Random(seed)
     return (sample_time_function(space, rng.randrange(SEED_SPAN)) for _ in range(samples))
@@ -291,12 +285,15 @@ def condition4_check(
     sampled values have no ties.  Either way every superlevel set is a suffix
     of an order of the events, so each order costs one pass of exact integer
     prefix sums: O(#extensions * n) time and O(n) memory in exhaustive mode.
-    The open and closed half-line variants agree on every instance.
+    The open and closed half-line variants agree on every instance, so
+    ``half_line`` is only validated: both run the same scan, and the
+    ``remark8`` suite and acceptance criterion 6 agree by construction.  The
+    per-threshold oracle in ``tests/test_exhaustive_oracles.py`` separates them.
     """
     if half_line not in ("open", "closed"):
         raise InputError(f"unknown half-line variant: {half_line!r}")
     _require_stably_causal(space)
-    _require_measures_on(space, mu, nu)
+    _require_same_events(space, mu, nu)
     if mode == "exhaustive":
         _check_bound("extension enumeration", space.n, max_events)
         orders: Iterable[Iterable[int]] = _linear_extensions(space)
@@ -332,7 +329,7 @@ def condition5_check(
     constructs and verifies before answering false.
     """
     _require_stably_causal(space)
-    _require_measures_on(space, mu, nu)
+    _require_same_events(space, mu, nu)
     if mode == "sampled":
         return all(
             integrate(mu, t) <= integrate(nu, t)

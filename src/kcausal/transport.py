@@ -19,9 +19,10 @@ from typing import Mapping
 import numpy as np
 
 from .errors import InputError
-from .measures import Measure, _require_measures_on, _require_same_events, format_rational, parse_rational
+from .measures import Measure, _mixture_coefficient, format_rational, parse_rational
 from .structure import (
-    DEFAULT_UPSET_BOUND, CausalSpace, EventSet, _check_bound, _order_links, _scaled, _SubsetTables
+    DEFAULT_UPSET_BOUND, CausalSpace, EventSet, _check_bound, _is_integer, _json_labels, _json_lists, _order_links,
+    _require_same_events, _scaled, _SubsetTables,
 )
 
 __all__ = [
@@ -57,20 +58,22 @@ class Coupling:
 
     def __post_init__(self):
         n = len(self.events)
+        entries = self.entries
+        if not all(isinstance(w, Fraction) for _, _, w in entries):
+            entries = tuple((i, j, parse_rational(w)) for i, j, w in entries)
         seen = set()
-        total = Fraction(0)
-        for i, j, w in self.entries:
-            if not (0 <= i < n and 0 <= j < n):
+        for i, j, w in entries:
+            if not (_is_integer(i) and _is_integer(j) and 0 <= i < n and 0 <= j < n):
                 raise InputError("coupling entry outside the event set")
             if (i, j) in seen:
                 raise InputError(f"duplicate coupling entry for pair ({i}, {j})")
             seen.add((i, j))
             if w <= 0:
-                raise InputError("coupling entries must carry positive weight")
-            total += w
-        if total != 1:
-            raise InputError(f"coupling mass is {format_rational(total)}, expected exactly 1")
-        object.__setattr__(self, "entries", tuple(sorted(self.entries)))
+                raise InputError(f"coupling entry ({i}, {j}) must carry positive weight")
+        den, (units,) = _scaled([w for _, _, w in entries])
+        if sum(units) != den:
+            raise InputError(f"coupling mass is {format_rational(Fraction(sum(units), den))}, expected exactly 1")
+        object.__setattr__(self, "entries", tuple(sorted(entries)))
 
     def weight(self, cause: str, effect: str) -> Fraction:
         i = self.events.index_of(cause)
@@ -104,8 +107,6 @@ def coupling(
     entries = []
     for (cause, effect), value in weights.items():
         w = parse_rational(value)
-        if w < 0:
-            raise InputError(f"negative weight on pair ({cause!r}, {effect!r})")
         if w:
             entries.append((events.index_of(cause), events.index_of(effect), w))
     omega = Coupling(events=events, entries=tuple(entries))
@@ -141,7 +142,7 @@ def marginals(omega: Coupling) -> tuple[Measure, Measure]:
 
 def verify_coupling(space: CausalSpace, omega: Coupling, mu: Measure, nu: Measure) -> bool:
     """True iff the marginals match exactly and all mass sits inside the closure."""
-    if omega.events.labels != space.events.labels:
+    if any(x.events.labels != space.events.labels for x in (omega, mu, nu)):
         return False
     first, second = omega._marginals
     if first.weights != mu.weights or second.weights != nu.weights:
@@ -156,8 +157,7 @@ def compose_couplings(omega1: Coupling, omega2: Coupling) -> Coupling:
     ``weight(p, r) = sum_q w1(p, q) * w2(q, r) / m(q)`` over intermediate
     events with positive mass ``m``; zero-mass intermediates are skipped.
     """
-    if omega1.events.labels != omega2.events.labels:
-        raise InputError("couplings live on different event sets")
+    _require_same_events(omega1, omega2)
     middle_out = omega1._marginals[1]
     middle_in = omega2._marginals[0]
     if middle_out.weights != middle_in.weights:
@@ -182,11 +182,8 @@ def mix_couplings(lam, omega1: Coupling, omega2: Coupling) -> Coupling:
     the closure, which is what makes convex interpolation preserve
     feasibility.
     """
-    lam = parse_rational(lam)
-    if not 0 <= lam <= 1:
-        raise InputError(f"mixture coefficient {format_rational(lam)} outside [0, 1]")
-    if omega1.events.labels != omega2.events.labels:
-        raise InputError("couplings live on different event sets")
+    lam = _mixture_coefficient(lam)
+    _require_same_events(omega1, omega2)
     mixed: dict[tuple[int, int], Fraction] = {}
     for i, j, w in omega1.entries:
         mixed[(i, j)] = lam * w
@@ -237,7 +234,7 @@ def decide_k_causal(space: CausalSpace, mu: Measure, nu: Measure) -> Certificate
     measures.  Either certificate is checked before it is returned
     (``AssertionError`` if not).
     """
-    _require_measures_on(space, mu, nu)
+    _require_same_events(space, mu, nu)
     den, (supply, demand) = _scaled(mu.weights, nu.weights)
     support = [i for i in range(space.n) if supply[i] or demand[i]]
     classes, links = _order_links(space.kplus.rows, support)
@@ -408,7 +405,7 @@ def strassen_check(
     lookups in exact integer subset tables whose size is bounded whatever n
     is (``structure.MASK_BLOCK`` entries each).
     """
-    _require_measures_on(space, mu, nu)
+    _require_same_events(space, mu, nu)
     n = space.n
     _check_bound("subset oracle", n, max_events)
     tables = _SubsetTables(space, (mu.weights, nu.weights))
@@ -451,7 +448,7 @@ def condition2_check(
     full power set: O(2**n) time, as lookups in exact integer subset tables
     whose size is bounded whatever n is (``structure.MASK_BLOCK`` entries each).
     """
-    _require_measures_on(space, mu, nu)
+    _require_same_events(space, mu, nu)
     _check_bound("subset check", space.n, max_events)
     tables = _SubsetTables(space, (mu.weights, nu.weights))
     m, v = tables.masses
@@ -469,7 +466,7 @@ def condition3_check(
     max_events: int = DEFAULT_UPSET_BOUND,
 ) -> bool:
     """Up-set mass inequality ``mu(X) <= nu(X)`` over all future-closed subsets."""
-    _require_measures_on(space, mu, nu)
+    _require_same_events(space, mu, nu)
     return _heavier_upset(space, mu, nu, max_events) is None
 
 
@@ -498,15 +495,12 @@ def coupling_to_jsonable(omega: Coupling) -> dict:
 
 
 def coupling_from_jsonable(obj, events: EventSet) -> Coupling:
-    if not isinstance(obj, dict) or not isinstance(obj.get("pairs"), list):
+    if not isinstance(obj, dict):
         raise InputError("coupling must be an object with a 'pairs' list")
     weights: dict[tuple[str, str], Fraction] = {}
-    for entry in obj["pairs"]:
-        if not isinstance(entry, list) or len(entry) != 3:
-            raise InputError(f"malformed coupling entry: {entry!r}")
-        cause, effect, value = entry
-        key = (str(cause), str(effect))
-        weights[key] = weights.get(key, Fraction(0)) + parse_rational(value)
+    for entry in _json_lists("pairs", obj.get("pairs"), 3):
+        key = _json_labels("pairs", entry[:2])
+        weights[key] = weights.get(key, Fraction(0)) + parse_rational(entry[2])
     return coupling(events, weights)
 
 

@@ -88,6 +88,17 @@ class TestMeasureConstruction:
     def test_dirac(self):
         assert dirac(EV3, "b").weight("b") == 1
 
+    def test_weights_are_read_as_rationals(self):
+        for bad in ((True, False, False), (float("nan"), 1, 0), ("x", 1, 0)):
+            with pytest.raises(InputError):
+                Measure(EV3, bad)
+        mu = Measure(EV3, [Fraction(1, 2), 0.5, "0"])
+        assert mu.weights == (Fraction(1, 2), Fraction(1, 2), Fraction(0))
+        assert type(mu.weights) is tuple
+
+    def test_event_labels_are_a_tuple(self):
+        assert EventSet(["a", "b", "c"]) == EV3
+
 
 class TestMeasureOf:
     def test_half(self):

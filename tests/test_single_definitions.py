@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import importlib
 import inspect
+import random
 from dataclasses import fields
 from pathlib import Path
 
@@ -12,26 +13,43 @@ import pytest
 
 import kcausal
 from kcausal import (
+    CausalRelation,
     GeneratorSpec,
     InputError,
     TrialConfig,
+    closedness_trial,
+    compose_couplings,
     condition2_check,
     condition3_check,
     condition4_check,
     condition5_check,
+    convex_combination,
+    decide_k_causal,
+    default_labels,
     enumerate_time_functions,
     enumerate_upsets,
     explicit_space,
+    future_volume_timefn,
+    identity_coupling,
+    implication_chain_trial,
+    integrate,
+    is_strictly_monotone,
     minguzzi_check,
+    mix_couplings,
+    product_coupling,
     random_dag_space,
+    random_forward_push,
+    rank_time_function,
     sample_time_function,
     sprinkle_space,
     strassen_check,
+    tv_distance,
     uniform_measure,
     upset_masks,
+    verify_coupling,
 )
 from kcausal.cli import _build_parser
-from kcausal.structure import DEFAULT_UPSET_BOUND, SEED_SPAN, _check_seed
+from kcausal.structure import DEFAULT_UPSET_BOUND, SEED_SPAN, _check_count, _check_seed, _require_same_events
 from kcausal.timefunctions import DEFAULT_ENUMERATION_BOUND
 
 
@@ -199,3 +217,92 @@ def test_seed_takers_reject_seeds_outside_the_span_alike(taker, seed):
 def test_seed_takers_accept_both_ends_of_the_span(taker):
     SEED_TAKERS[taker](0)
     SEED_TAKERS[taker](SEED_SPAN - 1)
+
+
+BOX = [[0, 1], [-1, 1]]
+
+# Every public entry point that takes a count or a bound: what ``_check_count``
+# calls the value, the least value allowed, and the call.
+COUNT_TAKERS = {
+    "sprinkle_space n": ("event count", 1, lambda n: sprinkle_space(n, 2, BOX, 0)),
+    "sprinkle_space dim": ("sprinkle dimension (time plus space)", 2, lambda dim: sprinkle_space(3, dim, BOX, 0)),
+    "random_dag_space": ("event count", 1, lambda n: random_dag_space(n, 0.5, 0)),
+    "CausalRelation": ("event count", 1, lambda n: CausalRelation(n, (1,))),
+    "default_labels": ("event count", 1, default_labels),
+    "TrialConfig trials": ("trial count", 1, lambda trials: TrialConfig(trials=trials)),
+    "TrialConfig max_events": ("max_events", 1, lambda bound: TrialConfig(max_events=bound)),
+    "closedness_trial": ("step count", 1, lambda steps: closedness_trial(CHAIN, *[UNIFORM] * 4, steps=steps)),
+    "condition4_check samples": (
+        "sample count", 1, lambda samples: condition4_check(CHAIN, UNIFORM, UNIFORM, mode="sampled", samples=samples)
+    ),
+    "condition5_check samples": (
+        "sample count", 1, lambda samples: condition5_check(CHAIN, UNIFORM, UNIFORM, mode="sampled", samples=samples)
+    ),
+    "upset_masks": ("max_events", 1, lambda bound: upset_masks(CHAIN, bound)),
+    "enumerate_upsets": ("max_events", 1, lambda bound: enumerate_upsets(CHAIN, bound)),
+    "strassen_check": ("max_events", 1, lambda bound: strassen_check(CHAIN, UNIFORM, UNIFORM, bound)),
+    "condition2_check": ("max_events", 1, lambda bound: condition2_check(CHAIN, UNIFORM, UNIFORM, bound)),
+    "condition3_check": ("max_events", 1, lambda bound: condition3_check(CHAIN, UNIFORM, UNIFORM, bound)),
+    "condition4_check": ("max_events", 1, lambda bound: condition4_check(CHAIN, UNIFORM, UNIFORM, max_events=bound)),
+    "condition5_check": ("max_events", 1, lambda bound: condition5_check(CHAIN, UNIFORM, UNIFORM, max_events=bound)),
+    "enumerate_time_functions": ("max_events", 1, lambda bound: enumerate_time_functions(CHAIN, bound)),
+    "minguzzi_check": ("max_events", 1, lambda bound: minguzzi_check(CHAIN, "a", "c", bound)),
+}
+
+
+# A float, a bool, a string and None are not counts, and each taker has a least value.
+@pytest.mark.parametrize("value", [1.5, True, "3", None, "below"])
+@pytest.mark.parametrize("taker", COUNT_TAKERS)
+def test_count_takers_reject_non_counts_alike(taker, value):
+    what, least, call = COUNT_TAKERS[taker]
+    value = least - 1 if value == "below" else value
+    with pytest.raises(InputError) as expected:
+        _check_count(what, value, least)
+    with pytest.raises(InputError) as got:
+        call(value)
+    assert str(got.value) == str(expected.value)
+
+
+# The same events as CHAIN, relabeled: every size check passes, only the labels differ.
+OTHER = explicit_space(["x", "y", "z"], [])
+OTHER_UNIFORM = uniform_measure(OTHER.events)
+
+# Every public entry point that takes two of a space, a measure, a coupling
+# and a time function, called with one of them on OTHER's events.
+EVENT_SET_TAKERS = {
+    "tv_distance": lambda: tv_distance(UNIFORM, OTHER_UNIFORM),
+    "convex_combination": lambda: convex_combination(0, UNIFORM, OTHER_UNIFORM),
+    "integrate": lambda: integrate(UNIFORM, rank_time_function(OTHER)),
+    "product_coupling": lambda: product_coupling(UNIFORM, OTHER_UNIFORM),
+    "compose_couplings": lambda: compose_couplings(identity_coupling(UNIFORM), identity_coupling(OTHER_UNIFORM)),
+    "mix_couplings": lambda: mix_couplings(0, identity_coupling(UNIFORM), identity_coupling(OTHER_UNIFORM)),
+    "decide_k_causal": lambda: decide_k_causal(CHAIN, UNIFORM, OTHER_UNIFORM),
+    "strassen_check": lambda: strassen_check(CHAIN, OTHER_UNIFORM, UNIFORM),
+    "condition2_check": lambda: condition2_check(CHAIN, UNIFORM, OTHER_UNIFORM),
+    "condition3_check": lambda: condition3_check(CHAIN, OTHER_UNIFORM, UNIFORM),
+    "condition4_check": lambda: condition4_check(CHAIN, UNIFORM, OTHER_UNIFORM),
+    "condition5_check": lambda: condition5_check(CHAIN, OTHER_UNIFORM, UNIFORM),
+    "future_volume_timefn": lambda: future_volume_timefn(CHAIN, OTHER_UNIFORM, 1, []),
+    "random_forward_push": lambda: random_forward_push(random.Random(0), CHAIN, OTHER_UNIFORM),
+    "closedness_trial": lambda: closedness_trial(CHAIN, UNIFORM, UNIFORM, OTHER_UNIFORM, OTHER_UNIFORM),
+    "implication_chain_trial": lambda: implication_chain_trial(CHAIN, UNIFORM, OTHER_UNIFORM),
+}
+
+
+@pytest.mark.parametrize("taker", EVENT_SET_TAKERS)
+def test_event_set_takers_refuse_other_events_alike(taker):
+    with pytest.raises(InputError) as expected:
+        _require_same_events(CHAIN, OTHER)
+    with pytest.raises(InputError) as got:
+        EVENT_SET_TAKERS[taker]()
+    assert str(got.value) == str(expected.value)
+
+
+def test_event_set_predicates_answer_false():
+    # The marginals of the identity coupling on OTHER equal UNIFORM's weights.
+    assert verify_coupling(CHAIN, identity_coupling(UNIFORM), UNIFORM, UNIFORM)
+    assert not verify_coupling(CHAIN, identity_coupling(OTHER_UNIFORM), UNIFORM, UNIFORM)
+    assert not verify_coupling(CHAIN, identity_coupling(UNIFORM), OTHER_UNIFORM, UNIFORM)
+    assert not verify_coupling(CHAIN, identity_coupling(UNIFORM), UNIFORM, OTHER_UNIFORM)
+    assert is_strictly_monotone(CHAIN, rank_time_function(CHAIN))
+    assert not is_strictly_monotone(CHAIN, rank_time_function(OTHER))

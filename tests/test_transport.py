@@ -10,7 +10,9 @@ import pytest
 from kcausal import (
     BoundExceededError,
     Coupling,
+    EventSet,
     InputError,
+    Measure,
     certificate_to_jsonable,
     compose_couplings,
     condition2_check,
@@ -89,6 +91,13 @@ class TestDecide:
     def test_mismatched_event_set(self, chain2, chain3):
         with pytest.raises(InputError):
             decide_k_causal(chain2, uniform_measure(chain3.events), uniform_measure(chain3.events))
+
+    def test_measures_built_from_lists_decide(self, chain2):
+        # Weights given as a list, and labels given as a list, are read as tuples.
+        for events in (chain2.events, EventSet(["a", "b"])):
+            mu = Measure(events, [Fraction(1), Fraction(0)])
+            nu = Measure(events, [Fraction(0), Fraction(1)])
+            assert decide_k_causal(chain2, mu, nu).feasible
 
     def test_near_degenerate_gap_is_caught_exactly(self, chain2):
         # infeasible by a margin of 1/N; any tolerance-based solver would wobble
@@ -229,6 +238,18 @@ class TestCouplings:
         with pytest.raises(InputError):
             coupling(chain2.events, {("a", "b"): "3/2", ("b", "a"): "-1/2"})
 
+    def test_weights_are_read_as_rationals(self, chain2):
+        omega = Coupling(events=chain2.events, entries=((0, 1, 0.5), (0, 0, 0.5)))
+        assert omega.entries == ((0, 0, Fraction(1, 2)), (0, 1, Fraction(1, 2)))
+        assert all(type(w) is Fraction for _, _, w in omega.entries)
+        with pytest.raises(InputError):
+            Coupling(events=chain2.events, entries=((0, 1, True),))
+
+    def test_indices_must_be_integers(self, chain2):
+        for entry in ((0.0, 1, Fraction(1)), (0, True, Fraction(1))):
+            with pytest.raises(InputError):
+                Coupling(events=chain2.events, entries=(entry,))
+
     def test_identity_coupling_verifies(self, chain3):
         mu = measure(chain3.events, {"a": "1/3", "c": "2/3"})
         assert verify_coupling(chain3, identity_coupling(mu), mu, mu)
@@ -338,6 +359,12 @@ class TestJson:
         obj = coupling_to_jsonable(omega)
         assert obj == {"pairs": [["a", "b", "1/2"], ["b", "c", "1/2"]]}
         assert coupling_from_jsonable(obj, chain3.events).entries == omega.entries
+
+    def test_coupling_labels_must_be_json_strings(self):
+        events = EventSet(["1", "b", "None"])
+        for cause in (1, None):
+            with pytest.raises(InputError, match="list of strings"):
+                coupling_from_jsonable({"pairs": [[cause, "b", "1"]]}, events)
 
     def test_feasible_certificate_shape(self, chain2):
         cert = decide_k_causal(chain2, dirac(chain2.events, "a"), dirac(chain2.events, "b"))

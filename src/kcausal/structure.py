@@ -79,7 +79,11 @@ def _is_integer(value) -> bool:
 
 def _check_seed(seed: int):
     if not _is_integer(seed) or not 0 <= seed < SEED_SPAN:
-        raise InputError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
+        try:
+            shown = repr(seed)
+        except ValueError:  # an integer past the interpreter's integer-to-string digit limit
+            shown = "a number too long to print"
+        raise InputError(f"seed must be an unsigned 64-bit integer, got {shown}")
 
 
 def _check_count(what: str, value, least: int = 1):
@@ -120,6 +124,8 @@ def _rationals(values) -> tuple[Fraction, ...]:
     """``values`` as a tuple read by :func:`parse_rational`; a tuple of ``Fraction`` is returned as is."""
     if type(values) is tuple and all(isinstance(v, Fraction) for v in values):
         return values
+    if not isinstance(values, Iterable):
+        raise InputError(f"expected a sequence of numbers, got {type(values).__name__}")
     return tuple(map(parse_rational, values))
 
 
@@ -198,11 +204,11 @@ class CausalRelation:
 
     def __post_init__(self):
         _check_count("event count", self.n)
-        if len(self.rows) != self.n:
+        if not isinstance(self.rows, (tuple, list)) or len(self.rows) != self.n:
             raise InputError("relation must have one row per event")
         limit = 1 << self.n
-        if any(row < 0 or row >= limit for row in self.rows):
-            raise InputError("relation rows must fit the event count")
+        if any(not _is_integer(row) or row < 0 or row >= limit for row in self.rows):
+            raise InputError("relation rows must be integer masks that fit the event count")
 
     def has(self, i: int, j: int) -> bool:
         return bool(self.rows[i] >> j & 1)
@@ -335,8 +341,7 @@ class CausalSpace:
 
     Invariant: ``kplus`` is ``kplus_closure(raw)``.  ``from_raw`` computes it,
     and ``minkowski_space`` passes the closed cone as both, being its own
-    closure.  Code may therefore walk ``raw``'s edges where reachability in
-    ``kplus`` is what it needs.
+    closure.
     """
 
     events: EventSet

@@ -28,11 +28,11 @@ from .structure import (
     _check_bound,
     _check_count,
     _check_seed,
+    _order_links,
     _rationals,
     _require_same_events,
     _scaled,
     find_cycle_pair,
-    iter_bits,
 )
 from .transport import _heavier_upset
 
@@ -92,14 +92,10 @@ def _require_stably_causal(space: CausalSpace):
 
 
 def is_strictly_monotone(space: CausalSpace, timefn: TimeFunction) -> bool:
-    if timefn.events.labels != space.events.labels:
+    if timefn.events.labels != space.events.labels or not is_stably_causal(space):
         return False
     values = timefn.values
-    for i, row in enumerate(space.kplus.rows):
-        for j in iter_bits(row):
-            if j != i and values[i] >= values[j]:
-                return False
-    return True
+    return all(values[i] < values[j] for i, j in _covers(space))
 
 
 def time_function(space: CausalSpace, values: Mapping[str, object]) -> TimeFunction:
@@ -115,17 +111,22 @@ def time_function(space: CausalSpace, values: Mapping[str, object]) -> TimeFunct
     return timefn
 
 
-def _strict_predecessor_masks(space: CausalSpace) -> list[int]:
-    cols = space.kplus.transpose.rows
-    return [cols[j] & ~(1 << j) for j in range(space.n)]
+def _covers(space: CausalSpace) -> list[tuple[int, int]]:
+    # The pairs (i, j) where j covers i in a stably causal space, whose order classes are single events.
+    classes, links = _order_links(space.kplus.rows, range(space.n))
+    return [(classes[k][0], classes[q][0]) for k, above in enumerate(links) for q in above]
 
 
 def _linear_extensions(space: CausalSpace) -> Iterator[tuple[int, ...]]:
-    # Streams extensions in lexicographic order of event indices; the first
-    # one is the greedy minimal-index topological order.  Backtracking is
-    # iterative, so no recursion limit caps the number of events.
+    # Streams extensions in lexicographic order of event indices, none if the space has a
+    # two-way pair; the first is the greedy minimal-index topological order.  Backtracking
+    # is iterative, so no recursion limit caps the number of events.
+    if not is_stably_causal(space):
+        return
     n = space.n
-    preds = _strict_predecessor_masks(space)
+    preds = [0] * n
+    for i, j in _covers(space):
+        preds[j] |= 1 << i
     order: list[int] = []
     placed = 0
     start = 0  # first candidate to try at the current depth
@@ -156,19 +157,19 @@ def _rank_values(space: CausalSpace, order: tuple[int, ...]) -> TimeFunction:
 
 
 def _ready_order(space: CausalSpace, take: Callable[[list[int]], int]) -> Iterator[int]:
-    # Kahn's sort of the raw relation's edges between distinct events.  An
-    # event is ready once its raw predecessors are placed; since ``kplus`` is
-    # the closure of ``raw``, that is once its closure predecessors are.
-    # ``ready`` stays sorted, and ``take`` picks the position to place next.
-    # Each event is yielded as soon as it is taken, so a caller's draws
-    # between events interleave with ``take``'s as in one loop.
-    succ = [row & ~(1 << i) for i, row in enumerate(space.raw.rows)]
-    waiting = [(col & ~(1 << j)).bit_count() for j, col in enumerate(space.raw.transpose.rows)]
+    # Kahn's sort of the covering pairs.  Placed events form a down-set, so an event whose covered
+    # events are placed has all its predecessors placed.  ``ready`` stays sorted and ``take`` picks
+    # the position to place next; each event is yielded when taken, so draws interleave as in one loop.
+    succ: list[list[int]] = [[] for _ in range(space.n)]
+    waiting = [0] * space.n
+    for i, j in _covers(space):
+        succ[i].append(j)
+        waiting[j] += 1
     ready = [j for j, count in enumerate(waiting) if not count]
     while ready:
         i = ready.pop(take(ready))
         yield i
-        for j in iter_bits(succ[i]):
+        for j in succ[i]:
             waiting[j] -= 1
             if not waiting[j]:
                 insort(ready, j)

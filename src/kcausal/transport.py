@@ -59,8 +59,11 @@ class Coupling:
     def __post_init__(self):
         n = len(self.events)
         entries = self.entries
-        if not all(isinstance(w, Fraction) for _, _, w in entries):
-            entries = tuple((i, j, parse_rational(w)) for i, j, w in entries)
+        try:
+            if not all(isinstance(w, Fraction) for _, _, w in entries):
+                entries = tuple((i, j, parse_rational(w)) for i, j, w in entries)
+        except (TypeError, ValueError):  # not iterable, or an entry that does not unpack to three
+            raise InputError("coupling entries must be (cause index, effect index, weight) triples") from None
         seen = set()
         for i, j, w in entries:
             if not (_is_integer(i) and _is_integer(j) and 0 <= i < n and 0 <= j < n):

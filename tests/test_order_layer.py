@@ -10,7 +10,11 @@ Each oracle below is the earlier implementation, kept as the reference:
   ``CausalRelation._cycle_pair`` before it read the transpose;
 - ``scan_order`` and ``scan_sample_values``: the O(n^2) ready scans of
   ``rank_time_function`` and ``sample_time_function`` before both became
-  ready-set (Kahn) sorts over the raw relation.
+  ready-set (Kahn) sorts over the raw relation;
+- ``raw_edge_walk``: that Kahn sort over the raw relation's edges, which
+  the time functions ran before they walked the order's covering pairs;
+- ``pairwise_is_strictly_monotone``: the loop over every closure pair behind
+  ``is_strictly_monotone`` before it read the covering pairs.
 
 The oracles take their predecessor masks from ``warshall_closure`` and
 ``pairwise_transpose``, so they share no code with what they check.
@@ -19,7 +23,9 @@ The oracles take their predecessor masks from ``warshall_closure`` and
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, insort
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -28,8 +34,10 @@ from hypothesis import strategies as st
 from kcausal import (
     CausalRelation,
     NotStablyCausalError,
+    TimeFunction,
     default_labels,
     explicit_space,
+    is_strictly_monotone,
     kplus_closure,
     random_dag_space,
     rank_time_function,
@@ -37,6 +45,7 @@ from kcausal import (
     sprinkle_space,
 )
 from kcausal.structure import iter_bits
+from kcausal.timefunctions import _linear_extensions
 
 
 def warshall_closure(raw: CausalRelation) -> CausalRelation:
@@ -102,6 +111,63 @@ def scan_sample_values(space, seed: int) -> tuple[Fraction, ...]:
         placed |= 1 << j
         level += Fraction(rng.randrange(1, 25), 24)
     return tuple(values)
+
+
+def raw_edge_walk(space, take):
+    """Kahn's sort of the raw edges between distinct events; ``take`` picks the ready position."""
+    succ = [row & ~(1 << i) for i, row in enumerate(space.raw.rows)]
+    waiting = [(col & ~(1 << j)).bit_count() for j, col in enumerate(pairwise_transpose(space.raw))]
+    ready = [j for j, count in enumerate(waiting) if not count]
+    while ready:
+        i = ready.pop(take(ready))
+        yield i
+        for j in iter_bits(succ[i]):
+            waiting[j] -= 1
+            if not waiting[j]:
+                insort(ready, j)
+
+
+def raw_edge_ranks(space) -> tuple[Fraction, ...]:
+    values = [Fraction(0)] * space.n
+    for rank, j in enumerate(raw_edge_walk(space, lambda ready: 0)):
+        values[j] = Fraction(rank)
+    return tuple(values)
+
+
+def raw_edge_sample_values(space, seed: int) -> tuple[Fraction, ...]:
+    rng = random.Random(seed)
+    level = Fraction(rng.randrange(0, 24), 24)
+    values = [Fraction(0)] * space.n
+    for j in raw_edge_walk(space, lambda ready: bisect_left(ready, rng.choice(ready))):
+        values[j] = level
+        level += Fraction(rng.randrange(1, 25), 24)
+    return tuple(values)
+
+
+def pairwise_is_strictly_monotone(space, timefn) -> bool:
+    if timefn.events.labels != space.events.labels:
+        return False
+    values = timefn.values
+    for i, row in enumerate(space.kplus.rows):
+        for j in iter_bits(row):
+            if j != i and values[i] >= values[j]:
+                return False
+    return True
+
+
+def permutation_extensions(space) -> list[tuple[int, ...]]:
+    """Every order of the events that places each one after its closure predecessors, lexicographically."""
+    preds = _strict_predecessors(space)
+
+    def valid(order):
+        placed = 0
+        for j in order:
+            if preds[j] & ~placed:
+                return False
+            placed |= 1 << j
+        return True
+
+    return [order for order in permutations(range(space.n)) if valid(order)]
 
 
 # ---------------------------------------------------------------------------
@@ -244,3 +310,57 @@ class TestReadySortsMatchScans:
         ranks = rank_time_function(space).values
         assert all(ranks[j] == k for k, j in enumerate(order))
         assert sample_time_function(space, 2**40 + 3).values == scan_sample_values(space, 2**40 + 3)
+
+
+class TestCoverWalksMatchRawEdgeWalk:
+    @settings(max_examples=200, deadline=None)
+    @given(acyclic_space, st.integers(0, 2**64 - 1))
+    def test_rank_and_sample(self, space, seed):
+        assert rank_time_function(space).values == raw_edge_ranks(space)
+        assert sample_time_function(space, seed).values == raw_edge_sample_values(space, seed)
+
+    @pytest.mark.parametrize(
+        "space",
+        [random_dag_space(1000, 1 / 100, 11), sprinkle_space(600, 2, [(0, 1), (-1, 1)], 17)],
+        ids=["dag1000", "sprinkle600"],
+    )
+    def test_benchmark_sized_spaces(self, space):
+        assert rank_time_function(space).values == raw_edge_ranks(space)
+        assert sample_time_function(space, 2**40 + 3).values == raw_edge_sample_values(space, 2**40 + 3)
+
+
+class TestExtensionsMatchPermutations:
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(cyclic_spaces(max_n=6), explicit_dags(max_n=6), shuffled_dags(max_n=6)))
+    def test_stream_is_every_valid_permutation_in_order(self, space):
+        # A space with a two-way pair has no valid permutation, so the stream is empty there.
+        assert list(_linear_extensions(space)) == permutation_extensions(space)
+
+
+class TestMonotoneMatchesAllPairs:
+    @settings(max_examples=300, deadline=None)
+    @given(any_space, st.data())
+    def test_random_values_with_ties(self, space, data):
+        values = data.draw(st.lists(st.integers(0, 3), min_size=space.n, max_size=space.n))
+        timefn = TimeFunction(space.events, values)
+        assert is_strictly_monotone(space, timefn) == pairwise_is_strictly_monotone(space, timefn)
+
+    @settings(max_examples=300, deadline=None)
+    @given(acyclic_space, st.data())
+    def test_rank_values_with_one_tie(self, space, data):
+        # The rank values are monotone; copying one event's value onto another adds a tie,
+        # which breaks monotonicity when the two are related.
+        values = list(raw_edge_ranks(space))
+        timefn = TimeFunction(space.events, values)
+        assert is_strictly_monotone(space, timefn) and pairwise_is_strictly_monotone(space, timefn)
+        i = data.draw(st.integers(0, space.n - 1))
+        j = data.draw(st.integers(0, space.n - 1))
+        values[i] = values[j]
+        timefn = TimeFunction(space.events, values)
+        assert is_strictly_monotone(space, timefn) == pairwise_is_strictly_monotone(space, timefn)
+
+    def test_other_event_set_is_never_monotone(self):
+        space = explicit_space(["a", "b"], [("a", "b")])
+        timefn = TimeFunction(explicit_space(["a", "c"], []).events, (0, 1))
+        assert not is_strictly_monotone(space, timefn)
+        assert not pairwise_is_strictly_monotone(space, timefn)

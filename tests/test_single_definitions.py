@@ -7,6 +7,7 @@ import importlib
 import inspect
 import random
 from dataclasses import fields
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -14,8 +15,11 @@ import pytest
 import kcausal
 from kcausal import (
     CausalRelation,
+    Coupling,
     GeneratorSpec,
     InputError,
+    Measure,
+    TimeFunction,
     TrialConfig,
     closedness_trial,
     compose_couplings,
@@ -186,6 +190,17 @@ def test_only_structure_turns_rationals_into_integers():
     assert users == {"structure.py"}
 
 
+def test_only_structure_reads_the_raw_relation():
+    # Outside ``structure`` the order is read from ``kplus``; the raw relation is its input only.
+    package = Path(kcausal.__file__).resolve().parent
+    users = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr == "raw":
+                users.add(path.name)
+    assert users == {"structure.py"}
+
+
 CHAIN = explicit_space(["a", "b", "c"], [("a", "b"), ("b", "c")])
 UNIFORM = uniform_measure(CHAIN.events)
 
@@ -211,6 +226,21 @@ def test_seed_takers_reject_seeds_outside_the_span_alike(taker, seed):
     with pytest.raises(InputError) as got:
         SEED_TAKERS[taker](seed)
     assert str(got.value) == str(expected.value)
+
+
+# Seeds whose repr would pass the interpreter's integer-to-string digit limit.
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: sample_time_function(CHAIN, -(10**5000)),
+        lambda: GeneratorSpec(kind="random-dag", n=3, edge_prob=0.5, seed=10**5000),
+        lambda: sample_time_function(CHAIN, Fraction(10**5000, 3)),
+    ],
+    ids=["negative int", "GeneratorSpec", "Fraction"],
+)
+def test_seeds_too_long_to_print_are_input_errors(call):
+    with pytest.raises(InputError, match="too long to print"):
+        call()
 
 
 @pytest.mark.parametrize("taker", SEED_TAKERS)
@@ -306,3 +336,20 @@ def test_event_set_predicates_answer_false():
     assert not verify_coupling(CHAIN, identity_coupling(UNIFORM), UNIFORM, OTHER_UNIFORM)
     assert is_strictly_monotone(CHAIN, rank_time_function(CHAIN))
     assert not is_strictly_monotone(CHAIN, rank_time_function(OTHER))
+
+
+# Constructors given a container of the wrong shape: each refuses it at its own check.
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: Coupling(CHAIN.events, ((0, 1),)),
+        lambda: Measure(CHAIN.events, None),
+        lambda: TimeFunction(CHAIN.events, 5),
+        lambda: CausalRelation(1, None),
+        lambda: CausalRelation(1, (None,)),
+    ],
+    ids=["Coupling pair entry", "Measure None", "TimeFunction int", "CausalRelation None", "CausalRelation None row"],
+)
+def test_malformed_containers_are_input_errors(call):
+    with pytest.raises(InputError):
+        call()

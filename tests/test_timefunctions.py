@@ -30,6 +30,7 @@ from kcausal import (
     measure,
     measure_of,
     minguzzi_check,
+    minkowski_space,
     random_dag_space,
     random_measure,
     rank_time_function,
@@ -40,7 +41,7 @@ from kcausal import (
     timefn_to_jsonable,
     uniform_measure,
 )
-from kcausal.timefunctions import _linear_extensions, _strict_predecessor_masks
+from kcausal.timefunctions import _linear_extensions
 
 
 def random_poset(rng: random.Random, lo: int = 2, hi: int = 6):
@@ -100,9 +101,11 @@ def recursive_linear_extensions(space):
     """Reference for ``_linear_extensions``: the recursive backtracking it replaced.
 
     Yields every linear extension in lexicographic order of event indices.
+    Its predecessor masks are the closure's columns, not the covering pairs.
     """
     n = space.n
-    preds = _strict_predecessor_masks(space)
+    cols = space.kplus.transpose.rows
+    preds = [cols[j] & ~(1 << j) for j in range(n)]
     order = []
 
     def extend(placed):
@@ -135,6 +138,13 @@ class TestIterativeExtensions:
     @given(small_orders())
     def test_matches_recursive_reference(self, space):
         assert list(_linear_extensions(space)) == list(recursive_linear_extensions(space))
+
+    def test_no_extension_on_a_space_with_a_two_way_pair(self):
+        # Events 0 and 1 share a point, so each precedes the other; 2 lies in both futures.
+        space = minkowski_space([[0, 0], [0, 0], [1, 0]])
+        assert not is_stably_causal(space)
+        assert list(_linear_extensions(space)) == []
+        assert list(recursive_linear_extensions(space)) == []
 
     def test_rank_time_function_past_the_recursion_limit(self):
         space = random_dag_space(1500, 0.01, 3)

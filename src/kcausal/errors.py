@@ -3,6 +3,15 @@
 __all__ = ["KCausalError", "InputError", "NotStablyCausalError", "BoundExceededError"]
 
 
+def _shown(value) -> str:
+    """``repr(value)`` for an error message, or a stand-in when the value holds
+    an integer past the interpreter's integer-to-string digit limit."""
+    try:
+        return repr(value)
+    except ValueError:
+        return "a number too long to print"
+
+
 class KCausalError(Exception):
     """Base class for all toolkit errors."""
 
@@ -20,8 +29,8 @@ class NotStablyCausalError(KCausalError):
     def __init__(self, pair: tuple[str, str]):
         self.pair = pair
         super().__init__(
-            f"causal structure is not stably causal: events {pair[0]!r} and "
-            f"{pair[1]!r} precede each other"
+            f"causal structure is not stably causal: events {_shown(pair[0])} and "
+            f"{_shown(pair[1])} precede each other"
         )
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping
 
-from .errors import InputError
+from .errors import InputError, _shown
 from .measures import (
     Measure,
     convex_combination,
@@ -199,7 +199,7 @@ class TrialConfig:
         names = tuple(self.suites)
         for name in names:
             if name not in SUITES:
-                raise InputError(f"unknown suite name: {name!r}")
+                raise InputError(f"unknown suite name: {_shown(name)}")
         ordered = tuple(s for s in SUITES if s in set(names))
         if not ordered:
             raise InputError("at least one suite is required")
@@ -211,7 +211,7 @@ class TrialConfig:
             bound = _SUITES[name][1]
             if self.max_events > bound:
                 raise InputError(
-                    f"suite {name!r} caps max_events at {bound}, got {self.max_events}"
+                    f"suite {_shown(name)} caps max_events at {bound}, got {self.max_events}"
                 )
 
 
@@ -226,7 +226,7 @@ class TrialReport:
     def __post_init__(self):
         for suite, passed, failed in self.counts:
             if passed + failed != self.config.trials:
-                raise InputError(f"suite {suite!r} counts do not add up to the trial count")
+                raise InputError(f"suite {_shown(suite)} counts do not add up to the trial count")
 
     @property
     def total_failed(self) -> int:

@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping
 
-from .errors import InputError
+from .errors import InputError, _shown
 from .structure import EventSet, _rationals, _require_same_events, _scaled, iter_bits, parse_rational
 
 __all__ = [
@@ -60,7 +60,7 @@ class Measure:
             raise InputError("measure needs one weight per event")
         negatives = [self.events.labels[i] for i, w in enumerate(self.weights) if w < 0]
         if negatives:
-            raise InputError(f"negative weight on {negatives[0]!r}")
+            raise InputError(f"negative weight on {_shown(negatives[0])}")
         den, (units,) = self._integer_weights
         if sum(units) != den:
             raise InputError(f"weights sum to {format_rational(Fraction(sum(units), den))}, expected exactly 1")
@@ -145,7 +145,7 @@ def integrate(mu: Measure, f) -> Fraction:
     if isinstance(f, Mapping):
         missing = [lab for lab in mu.events.labels if lab not in f]
         if missing:
-            raise InputError(f"integrand missing value for {missing[0]!r}")
+            raise InputError(f"integrand missing value for {_shown(missing[0])}")
         vec = [f[lab] for lab in mu.events.labels]
     else:
         if hasattr(f, "events"):

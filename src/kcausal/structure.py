@@ -14,12 +14,13 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
-from math import lcm
+from itertools import repeat
+from math import ceil, lcm
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import BoundExceededError, InputError
+from .errors import BoundExceededError, InputError, _shown
 
 __all__ = [
     "EventSet",
@@ -79,11 +80,7 @@ def _is_integer(value) -> bool:
 
 def _check_seed(seed: int):
     if not _is_integer(seed) or not 0 <= seed < SEED_SPAN:
-        try:
-            shown = repr(seed)
-        except ValueError:  # an integer past the interpreter's integer-to-string digit limit
-            shown = "a number too long to print"
-        raise InputError(f"seed must be an unsigned 64-bit integer, got {shown}")
+        raise InputError(f"seed must be an unsigned 64-bit integer, got {_shown(seed)}")
 
 
 def _check_count(what: str, value, least: int = 1):
@@ -109,22 +106,22 @@ def parse_rational(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
-        raise InputError(f"expected a number, got {value!r}")
+        raise InputError(f"expected a number, got {_shown(value)}")
     if isinstance(value, str) and _exponent_exceeds_digit_limit(value):
-        raise InputError(f"decimal exponent too large: {value!r}")
+        raise InputError(f"decimal exponent too large: {_shown(value)}")
     if isinstance(value, (int, str, float)):
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError, OverflowError) as exc:
-            raise InputError(f"not a valid rational: {value!r}") from exc
-    raise InputError(f"expected a number, got {value!r}")
+            raise InputError(f"not a valid rational: {_shown(value)}") from exc
+    raise InputError(f"expected a number, got {_shown(value)}")
 
 
 def _rationals(values) -> tuple[Fraction, ...]:
     """``values`` as a tuple read by :func:`parse_rational`; a tuple of ``Fraction`` is returned as is."""
     if type(values) is tuple and all(isinstance(v, Fraction) for v in values):
         return values
-    if not isinstance(values, Iterable):
+    if isinstance(values, (str, bytes)) or not isinstance(values, Iterable):  # a string is not a digit sequence
         raise InputError(f"expected a sequence of numbers, got {type(values).__name__}")
     return tuple(map(parse_rational, values))
 
@@ -183,7 +180,7 @@ class EventSet:
         try:
             return self.index[label]
         except KeyError:
-            raise InputError(f"unknown event label: {label!r}") from None
+            raise InputError(f"unknown event label: {_shown(label)}") from None
 
     def mask_of(self, subset: Iterable[str]) -> int:
         mask = 0
@@ -524,7 +521,7 @@ class GeneratorSpec:
 def _kind_fields(kind) -> tuple[str, ...]:
     """The ``GeneratorSpec`` fields generator ``kind`` needs."""
     if not isinstance(kind, str) or kind not in _KINDS:
-        raise InputError(f"unknown generator kind: {kind!r}")
+        raise InputError(f"unknown generator kind: {_shown(kind)}")
     return _KINDS[kind][1]
 
 
@@ -658,15 +655,34 @@ def random_dag_space(
     if not 0 <= p <= 1:
         raise InputError("edge probability must lie in [0, 1]")
     _check_seed(seed)
-    rng = random.Random(seed)
-    coin = float(p)  # the coins are floats, so they meet p's nearest float
-    rows = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < coin:
-                rows[i] |= 1 << j
     events = EventSet(labels=default_labels(n) if labels is None else labels)
-    return CausalSpace.from_raw(events, CausalRelation(n, tuple(rows)))
+    # The coins are floats, so they meet p's nearest float.
+    return CausalSpace.from_raw(events, CausalRelation(n, _coin_rows(n, float(p), random.Random(seed))))
+
+
+def _coin_rows(n: int, coin: float, rng: random.Random) -> tuple[int, ...]:
+    """Rows whose bit ``j > i`` is set when the coin for ``(i, j)`` shows ``rng.random() < coin``.
+
+    The coins are drawn in row-major order, one ``random()`` each, ROW_BLOCK
+    rows at a time.  CPython's ``random()`` is ``((a >> 5) * 2**26 + (b >> 6))
+    / 2**53`` for two consecutive 32-bit generator words ``a`` and ``b``, and
+    ``getrandbits(64 * k)`` returns the next ``2 * k`` words with the first in
+    the lowest bits.  So each 64-bit little-endian word of that draw is one
+    coin, and ``random() < coin`` is its 53-bit integer compared with
+    ``ceil(coin * 2**53)``.
+    """
+    threshold = np.uint64(ceil(coin * 2**53))
+    columns = np.arange(n)
+    rows: list[int] = []
+    for lo in range(0, n, ROW_BLOCK):
+        upper = columns[None, :] > columns[lo : lo + ROW_BLOCK, None]
+        k = int(np.count_nonzero(upper))
+        words = np.frombuffer(rng.getrandbits(64 * k).to_bytes(8 * k, "little"), dtype="<u8")
+        draws = ((words & 0xFFFFFFFF) >> 5 << 26) | (words >> 38)
+        block = np.zeros(upper.shape, dtype=bool)
+        block[upper] = draws < threshold  # a boolean-mask assignment fills row-major: the draw order
+        rows.extend(_packed_rows(block))
+    return tuple(rows)
 
 
 # Each generator kind's builder and the GeneratorSpec fields it needs.  Every
@@ -692,7 +708,7 @@ def generate(spec: GeneratorSpec) -> CausalSpace:
 
 def _json_labels(key: str, value) -> tuple[str, ...]:
     if not isinstance(value, list) or not all(isinstance(label, str) for label in value):
-        raise InputError(f"JSON {key!r} must give labels as a list of strings")
+        raise InputError(f"JSON {_shown(key)} must give labels as a list of strings")
     return tuple(value)
 
 
@@ -700,13 +716,13 @@ def _json_lists(key: str, value, width: int | None = None) -> list[list]:
     """``value``, checked to be a list of lists, each ``width`` long if ``width`` is given."""
     if not isinstance(value, list) or not all(isinstance(x, list) and width in (None, len(x)) for x in value):
         shape = f"lists of {width} entries" if width else "lists"
-        raise InputError(f"JSON {key!r} must be a list of {shape}")
+        raise InputError(f"JSON {_shown(key)} must be a list of {shape}")
     return value
 
 
 def _json_integer(key: str, value) -> int:
     if not _is_integer(value):
-        raise InputError(f"spacetime spec {key!r} must be a JSON integer, got {value!r}")
+        raise InputError(f"spacetime spec {_shown(key)} must be a JSON integer, got {_shown(value)}")
     return value
 
 
@@ -742,7 +758,7 @@ def generator_spec_from_jsonable(obj) -> GeneratorSpec:
         if key in obj:
             fields[name] = read(key, obj[key])
         elif name in needs:
-            raise InputError(f"{kind} spec needs {key!r}")
+            raise InputError(f"{kind} spec needs {_shown(key)}")
     return GeneratorSpec(kind=kind, **fields)
 
 
@@ -760,9 +776,10 @@ def space_to_jsonable(space: CausalSpace, relation: str = "raw") -> dict:
 def _label_sorted_pairs(space: CausalSpace, relation: str) -> Iterator[tuple[int, int]]:
     """Index pairs of the raw relation or the closure, sorted by (cause, effect) label."""
     if relation not in ("raw", "kplus"):
-        raise InputError(f"relation must be 'raw' or 'kplus', got {relation!r}")
+        raise InputError(f"relation must be 'raw' or 'kplus', got {_shown(relation)}")
     rows = space.raw.rows if relation == "raw" else space.kplus.rows
-    label = space.events.labels.__getitem__
-    for i in sorted(range(space.n), key=label):
-        for j in sorted(iter_bits(rows[i]), key=label):
-            yield i, j
+    order = np.array(sorted(range(space.n), key=space.events.labels.__getitem__), dtype=np.intp)
+    # A row's bits put in label order are nonzero at its effects in label order.  One row
+    # at a time: a block of rows held while the caller builds its output raised peak memory.
+    for i in order.tolist():
+        yield from zip(repeat(i), order[np.flatnonzero(_unpacked([rows[i]], space.n)[0, order])].tolist())

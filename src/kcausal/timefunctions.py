@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Callable, Iterable, Iterator, Mapping
 
-from .errors import InputError, NotStablyCausalError
+from .errors import InputError, NotStablyCausalError, _shown
 from .measures import Measure, format_rational, integrate, parse_rational
 from .structure import (
     DEFAULT_UPSET_BOUND,
@@ -292,7 +292,7 @@ def condition4_check(
     per-threshold oracle in ``tests/test_exhaustive_oracles.py`` separates them.
     """
     if half_line not in ("open", "closed"):
-        raise InputError(f"unknown half-line variant: {half_line!r}")
+        raise InputError(f"unknown half-line variant: {_shown(half_line)}")
     _require_stably_causal(space)
     _require_same_events(space, mu, nu)
     if mode == "exhaustive":
@@ -303,7 +303,7 @@ def condition4_check(
             sorted(range(space.n), key=t.values.__getitem__) for t in _sampled_timefns(space, samples, seed)
         )
     else:
-        raise InputError(f"unknown mode: {mode!r}")
+        raise InputError(f"unknown mode: {_shown(mode)}")
     # Every superlevel set, open or closed, of a labeling without ties is a
     # suffix of its order.  ``excess`` is mu - nu scaled to integers and sums
     # to 0, so mu <= nu on every suffix iff no prefix sum is negative.
@@ -337,7 +337,7 @@ def condition5_check(
             for t in _sampled_timefns(space, samples, seed)
         )
     if mode != "exact":
-        raise InputError(f"unknown mode: {mode!r}")
+        raise InputError(f"unknown mode: {_shown(mode)}")
     violation = _heavier_upset(space, mu, nu, max_events)
     if violation is None:
         return True

@@ -18,7 +18,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, _shown
 from .measures import Measure, _mixture_coefficient, format_rational, parse_rational
 from .structure import (
     DEFAULT_UPSET_BOUND, CausalSpace, EventSet, _check_bound, _is_integer, _json_labels, _json_lists, _order_links,
@@ -209,7 +209,7 @@ class Certificate:
 
     def __post_init__(self):
         if self.verdict not in ("feasible", "infeasible"):
-            raise InputError(f"unknown verdict: {self.verdict!r}")
+            raise InputError(f"unknown verdict: {_shown(self.verdict)}")
         if self.verdict == "feasible" and self.witness is None:
             raise InputError("feasible certificate needs a witness coupling")
         if self.verdict == "infeasible" and (

@@ -12,6 +12,7 @@ from kcausal import (
     coupling_from_jsonable,
     measure_from_jsonable,
     random_feasible_pair,
+    random_dag_space,
     random_measure,
     random_space,
     space_from_jsonable,
@@ -513,6 +514,15 @@ class TestPairWriter:
     def test_empty_pair_list(self, tmp_path):
         # The raw relation has no pairs; its closure has only the diagonal.
         self.assert_bytes_match(tmp_path, {"events": ["a", "b", "c"], "relation": {"kind": "explicit", "pairs": []}})
+
+    def test_label_order_differs_from_index_order(self, tmp_path):
+        # Shuffled labels "b", "a1" .. "a299" ("a10" sorts before "a9") on more
+        # events than one block of rows, so the emit's label sort is exercised.
+        rng = random.Random(20261018)
+        labels = ["b"] + [f"a{k}" for k in range(1, 300)]
+        rng.shuffle(labels)
+        space = random_dag_space(300, "1/100", 5, labels=labels)
+        self.assert_bytes_match(tmp_path, space_to_jsonable(space))
 
     def test_labels_that_need_escaping(self, tmp_path):
         labels = ['quo"te', "back\\slash", "tab\there", "nul\x00bell\x07", "line\nbreak", "日本語", "é", "\U0001f600", "z"]

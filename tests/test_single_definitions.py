@@ -53,7 +53,14 @@ from kcausal import (
     verify_coupling,
 )
 from kcausal.cli import _build_parser
-from kcausal.structure import DEFAULT_UPSET_BOUND, SEED_SPAN, _check_count, _check_seed, _require_same_events
+from kcausal.structure import (
+    DEFAULT_UPSET_BOUND,
+    SEED_SPAN,
+    _check_count,
+    _check_seed,
+    _require_same_events,
+    parse_rational,
+)
 from kcausal.timefunctions import DEFAULT_ENUMERATION_BOUND
 
 
@@ -228,17 +235,21 @@ def test_seed_takers_reject_seeds_outside_the_span_alike(taker, seed):
     assert str(got.value) == str(expected.value)
 
 
-# Seeds whose repr would pass the interpreter's integer-to-string digit limit.
+# Values whose repr would pass the interpreter's integer-to-string digit limit,
+# in messages that print the value: seeds, labels, generator kinds, numbers.
 @pytest.mark.parametrize(
     "call",
     [
         lambda: sample_time_function(CHAIN, -(10**5000)),
         lambda: GeneratorSpec(kind="random-dag", n=3, edge_prob=0.5, seed=10**5000),
         lambda: sample_time_function(CHAIN, Fraction(10**5000, 3)),
+        lambda: CHAIN.events.index_of(10**5000),
+        lambda: GeneratorSpec(kind=10**5000),
+        lambda: parse_rational([10**5000]),
     ],
-    ids=["negative int", "GeneratorSpec", "Fraction"],
+    ids=["negative int", "GeneratorSpec", "Fraction", "index_of", "GeneratorSpec kind", "parse_rational"],
 )
-def test_seeds_too_long_to_print_are_input_errors(call):
+def test_values_too_long_to_print_are_input_errors(call):
     with pytest.raises(InputError, match="too long to print"):
         call()
 
@@ -347,8 +358,20 @@ def test_event_set_predicates_answer_false():
         lambda: TimeFunction(CHAIN.events, 5),
         lambda: CausalRelation(1, None),
         lambda: CausalRelation(1, (None,)),
+        lambda: TimeFunction(CHAIN.events, "123"),
+        lambda: Measure(explicit_space(["a", "b"], []).events, "10"),
+        lambda: Measure(explicit_space(["a", "b"], []).events, b"\x00\x01"),
     ],
-    ids=["Coupling pair entry", "Measure None", "TimeFunction int", "CausalRelation None", "CausalRelation None row"],
+    ids=[
+        "Coupling pair entry",
+        "Measure None",
+        "TimeFunction int",
+        "CausalRelation None",
+        "CausalRelation None row",
+        "TimeFunction str",
+        "Measure str",
+        "Measure bytes",
+    ],
 )
 def test_malformed_containers_are_input_errors(call):
     with pytest.raises(InputError):

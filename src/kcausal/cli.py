@@ -114,12 +114,6 @@ def _cmd_check(args) -> int:
     return 0 if cert.feasible else 1
 
 
-def _cmd_closure(args) -> int:
-    space = space_from_jsonable(_load_json(args.spacetime))
-    _emit_space(space, "kplus", args.out)
-    return 0
-
-
 def _cmd_upsets(args) -> int:
     space = space_from_jsonable(_load_json(args.spacetime))
     subsets = enumerate_upsets(space, max_events=args.max_events)
@@ -188,9 +182,9 @@ def _build_parser() -> argparse.ArgumentParser:
     check.set_defaults(handler=_cmd_check)
 
     closure = sub.add_parser("closure", help="emit the closed transitive relation")
-    closure.add_argument("spacetime", help="spacetime JSON path")
+    closure.add_argument("recipe", metavar="spacetime", help="spacetime JSON path")
     closure.add_argument("--out", metavar="PATH", help="output path (default stdout)")
-    closure.set_defaults(handler=_cmd_closure)
+    closure.set_defaults(handler=_cmd_generate, relation="kplus")
 
     upsets = sub.add_parser("upsets", help="enumerate future-closed subsets")
     upsets.add_argument("spacetime", help="spacetime JSON path")

@@ -27,8 +27,10 @@ from .structure import (
     CausalSpace,
     _check_count,
     _check_seed,
+    _is_integer,
     _require_same_events,
     _scaled,
+    _sequence,
     iter_bits,
     lemma_complement_check,
     random_dag_space,
@@ -196,7 +198,7 @@ class TrialConfig:
     max_events: int = 7
 
     def __post_init__(self):
-        names = tuple(self.suites)
+        names = _sequence("suites", self.suites)
         for name in names:
             if name not in SUITES:
                 raise InputError(f"unknown suite name: {_shown(name)}")
@@ -224,8 +226,9 @@ class TrialReport:
     failures: tuple[dict, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "counts", _sequence("suite counts", self.counts, 3))
         for suite, passed, failed in self.counts:
-            if passed + failed != self.config.trials:
+            if not (_is_integer(passed) and _is_integer(failed)) or passed + failed != self.config.trials:
                 raise InputError(f"suite {_shown(suite)} counts do not add up to the trial count")
 
     @property

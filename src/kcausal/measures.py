@@ -55,7 +55,7 @@ class Measure:
     weights: tuple[Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", _rationals(self.weights))
+        object.__setattr__(self, "weights", _rationals("measure weights", self.weights))
         if len(self.weights) != len(self.events):
             raise InputError("measure needs one weight per event")
         negatives = [self.events.labels[i] for i, w in enumerate(self.weights) if w < 0]

@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import repeat
 from math import ceil, lcm
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -117,13 +117,32 @@ def parse_rational(value) -> Fraction:
     raise InputError(f"expected a number, got {_shown(value)}")
 
 
-def _rationals(values) -> tuple[Fraction, ...]:
+def _sequence(what: str, value, width: int | None = None) -> tuple:
+    """``value`` read once into a tuple: any iterable but a ``str``, ``bytes`` or mapping (in JSON, only a list).
+
+    With ``width``, every entry must itself be such a sequence of ``width`` items, and is read into a tuple too.
+    """
+    exact = type(value) in (tuple, list)  # tested first: the abstract-class checks are slower
+    if not exact and (isinstance(value, (str, bytes, Mapping)) or not isinstance(value, Iterable)):
+        raise InputError(f"{what} must be a list")
+    items = tuple(value)
+    if width is None:
+        return items
+    entries = tuple(map(_sequence, repeat(f"every entry of {what}"), items))
+    if any(len(x) != width for x in entries):
+        raise InputError(f"every entry of {what} must be a list of {width} items")
+    return entries
+
+
+def _rationals(what: str, values) -> tuple[Fraction, ...]:
     """``values`` as a tuple read by :func:`parse_rational`; a tuple of ``Fraction`` is returned as is."""
     if type(values) is tuple and all(isinstance(v, Fraction) for v in values):
         return values
-    if isinstance(values, (str, bytes)) or not isinstance(values, Iterable):  # a string is not a digit sequence
-        raise InputError(f"expected a sequence of numbers, got {type(values).__name__}")
-    return tuple(map(parse_rational, values))
+    return tuple(map(parse_rational, _sequence(what, values)))
+
+
+def _points(what: str, value, width: int | None = None) -> tuple[tuple[Fraction, ...], ...]:
+    return tuple(map(_rationals, repeat(f"every entry of {what}"), _sequence(what, value, width)))
 
 
 def _exponent_exceeds_digit_limit(text: str) -> bool:
@@ -149,7 +168,7 @@ class EventSet:
     coords: tuple[tuple[Fraction, ...], ...] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(self.labels or ()))
+        object.__setattr__(self, "labels", _sequence("event labels", self.labels))
         if not self.labels:
             raise InputError("event set must contain at least one event")
         if any(not isinstance(lab, str) or not lab for lab in self.labels):
@@ -157,6 +176,7 @@ class EventSet:
         if len(set(self.labels)) != len(self.labels):
             raise InputError("event labels must be pairwise distinct")
         if self.coords is not None:
+            object.__setattr__(self, "coords", _points("event coordinates", self.coords))
             if len(self.coords) != len(self.labels):
                 raise InputError("coords must match the number of events")
             dims = {len(point) for point in self.coords}
@@ -179,7 +199,7 @@ class EventSet:
     def index_of(self, label: str) -> int:
         try:
             return self.index[label]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable label
             raise InputError(f"unknown event label: {_shown(label)}") from None
 
     def mask_of(self, subset: Iterable[str]) -> int:
@@ -201,7 +221,8 @@ class CausalRelation:
 
     def __post_init__(self):
         _check_count("event count", self.n)
-        if not isinstance(self.rows, (tuple, list)) or len(self.rows) != self.n:
+        object.__setattr__(self, "rows", _sequence("relation rows", self.rows))
+        if len(self.rows) != self.n:
             raise InputError("relation must have one row per event")
         limit = 1 << self.n
         if any(not _is_integer(row) or row < 0 or row >= limit for row in self.rows):
@@ -534,7 +555,7 @@ def default_labels(n: int) -> tuple[str, ...]:
 def explicit_space(labels: Sequence[str], pairs: Iterable[tuple[str, str]]) -> CausalSpace:
     events = EventSet(labels=labels)
     rows = [0] * len(events)
-    for cause, effect in pairs:
+    for cause, effect in _sequence("relation pairs", pairs, 2):
         rows[events.index_of(cause)] |= 1 << events.index_of(effect)
     return CausalSpace.from_raw(events, CausalRelation(len(events), tuple(rows)))
 
@@ -614,10 +635,10 @@ def _order_links(rows: Sequence[int], members: Sequence[int]) -> tuple[list[list
 
 
 def minkowski_space(points: Sequence[Sequence], labels: Sequence[str] | None = None) -> CausalSpace:
-    pts = tuple(tuple(parse_rational(c) for c in point) for point in points)
+    pts = _sequence("minkowski points", points)
     events = EventSet(labels=default_labels(len(pts)) if labels is None else labels, coords=pts)
     # The closed cone is already reflexive and transitive: it is its own closure.
-    cone = CausalRelation(len(pts), _cone_rows(pts))
+    cone = CausalRelation(len(pts), _cone_rows(events.coords))
     return CausalSpace(events=events, raw=cone, kplus=cone)
 
 
@@ -630,7 +651,7 @@ def sprinkle_space(
 ) -> CausalSpace:
     _check_count("event count", n)
     _check_count("sprinkle dimension (time plus space)", dim, least=2)
-    bounds = tuple((parse_rational(lo), parse_rational(hi)) for lo, hi in box)
+    bounds = _points("sprinkle box", box, 2)
     if len(bounds) != dim:
         raise InputError("box must provide one [lo, hi] interval per dimension")
     if any(lo > hi for lo, hi in bounds):
@@ -706,35 +727,28 @@ def generate(spec: GeneratorSpec) -> CausalSpace:
 # JSON formats
 
 
-def _json_labels(key: str, value) -> tuple[str, ...]:
-    if not isinstance(value, list) or not all(isinstance(label, str) for label in value):
-        raise InputError(f"JSON {_shown(key)} must give labels as a list of strings")
-    return tuple(value)
+def _json_labels(what: str, value) -> tuple[str, ...]:
+    labels = _sequence(what, value)
+    if not all(isinstance(label, str) for label in labels):
+        raise InputError(f"{what} must give labels as a list of strings")
+    return labels
 
 
-def _json_lists(key: str, value, width: int | None = None) -> list[list]:
-    """``value``, checked to be a list of lists, each ``width`` long if ``width`` is given."""
-    if not isinstance(value, list) or not all(isinstance(x, list) and width in (None, len(x)) for x in value):
-        shape = f"lists of {width} entries" if width else "lists"
-        raise InputError(f"JSON {_shown(key)} must be a list of {shape}")
-    return value
-
-
-def _json_integer(key: str, value) -> int:
+def _json_integer(what: str, value) -> int:
     if not _is_integer(value):
-        raise InputError(f"spacetime spec {_shown(key)} must be a JSON integer, got {_shown(value)}")
+        raise InputError(f"{what} must be an integer, got {_shown(value)}")
     return value
 
 
 # Per GeneratorSpec field: its key in a JSON recipe and that key's reader.
 _JSON_FIELDS = {
     "labels": ("events", _json_labels),
-    "pairs": ("pairs", lambda key, v: tuple(_json_labels(key, pair) for pair in _json_lists(key, v, 2))),
-    "points": ("points", lambda key, v: tuple(tuple(map(parse_rational, x)) for x in _json_lists(key, v))),
+    "pairs": ("pairs", lambda what, v: tuple(_json_labels(what, pair) for pair in _sequence(what, v, 2))),
+    "points": ("points", _points),
     "n": ("n", _json_integer),
     "dim": ("dim", _json_integer),
-    "box": ("box", lambda key, v: tuple(tuple(map(parse_rational, x)) for x in _json_lists(key, v, 2))),
-    "edge_prob": ("p", lambda key, v: v),
+    "box": ("box", lambda what, v: _points(what, v, 2)),
+    "edge_prob": ("p", lambda what, v: v),
     "seed": ("seed", _json_integer),
 }
 
@@ -756,7 +770,7 @@ def generator_spec_from_jsonable(obj) -> GeneratorSpec:
     for name in dict.fromkeys(("labels", *needs)):
         key, read = _JSON_FIELDS[name]
         if key in obj:
-            fields[name] = read(key, obj[key])
+            fields[name] = read(f"JSON {_shown(key)}", obj[key])
         elif name in needs:
             raise InputError(f"{kind} spec needs {_shown(key)}")
     return GeneratorSpec(kind=kind, **fields)

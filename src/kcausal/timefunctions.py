@@ -64,7 +64,7 @@ class TimeFunction:
     values: tuple[Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _rationals(self.values))
+        object.__setattr__(self, "values", _rationals("time function values", self.values))
         if len(self.values) != len(self.events):
             raise InputError("one value per event required")
 

@@ -21,8 +21,8 @@ import numpy as np
 from .errors import InputError, _shown
 from .measures import Measure, _mixture_coefficient, format_rational, parse_rational
 from .structure import (
-    DEFAULT_UPSET_BOUND, CausalSpace, EventSet, _check_bound, _is_integer, _json_labels, _json_lists, _order_links,
-    _require_same_events, _scaled, _SubsetTables,
+    DEFAULT_UPSET_BOUND, CausalSpace, EventSet, _check_bound, _is_integer, _json_labels, _order_links,
+    _require_same_events, _scaled, _sequence, _SubsetTables,
 )
 
 __all__ = [
@@ -58,11 +58,9 @@ class Coupling:
 
     def __post_init__(self):
         n = len(self.events)
-        entries = self.entries
         try:
-            if not all(isinstance(w, Fraction) for _, _, w in entries):
-                entries = tuple((i, j, parse_rational(w)) for i, j, w in entries)
-        except (TypeError, ValueError):  # not iterable, or an entry that does not unpack to three
+            entries = [(i, j, parse_rational(w)) for i, j, w in _sequence("coupling entries", self.entries)]
+        except (TypeError, ValueError):  # an entry that is not iterable, or not three items
             raise InputError("coupling entries must be (cause index, effect index, weight) triples") from None
         seen = set()
         for i, j, w in entries:
@@ -122,19 +120,12 @@ def coupling(
 
 
 def identity_coupling(mu: Measure) -> Coupling:
-    entries = tuple((i, i, w) for i, w in enumerate(mu.weights) if w)
-    return Coupling(events=mu.events, entries=entries)
+    return Coupling(events=mu.events, entries=((i, i, w) for i, w in enumerate(mu.weights) if w))
 
 
 def product_coupling(mu: Measure, nu: Measure) -> Coupling:
     _require_same_events(mu, nu)
-    entries = tuple(
-        (i, j, a * b)
-        for i, a in enumerate(mu.weights)
-        if a
-        for j, b in enumerate(nu.weights)
-        if b
-    )
+    entries = ((i, j, a * b) for i, a in enumerate(mu.weights) if a for j, b in enumerate(nu.weights) if b)
     return Coupling(events=mu.events, entries=entries)
 
 
@@ -174,8 +165,7 @@ def compose_couplings(omega1: Coupling, omega2: Coupling) -> Coupling:
         for r, w2 in by_middle.get(q, []):
             key = (p, r)
             glued[key] = glued.get(key, Fraction(0)) + w1 * w2 / m
-    entries = tuple((p, r, w) for (p, r), w in glued.items() if w)
-    return Coupling(events=omega1.events, entries=entries)
+    return Coupling(events=omega1.events, entries=((p, r, w) for (p, r), w in glued.items() if w))
 
 
 def mix_couplings(lam, omega1: Coupling, omega2: Coupling) -> Coupling:
@@ -193,8 +183,7 @@ def mix_couplings(lam, omega1: Coupling, omega2: Coupling) -> Coupling:
     for i, j, w in omega2.entries:
         key = (i, j)
         mixed[key] = mixed.get(key, Fraction(0)) + (1 - lam) * w
-    entries = tuple((i, j, w) for (i, j), w in mixed.items() if w)
-    return Coupling(events=omega1.events, entries=entries)
+    return Coupling(events=omega1.events, entries=((i, j, w) for (i, j), w in mixed.items() if w))
 
 
 @dataclass(frozen=True)
@@ -278,10 +267,8 @@ def decide_k_causal(space: CausalSpace, mu: Measure, nu: Measure) -> Certificate
             [(arc_to[arc] - 2, arc_cap[arc ^ 1]) for arc in arcs if not arc & 1 and arc_to[arc] >= 2]
             for arcs in graph[2:]
         ]
-        entries = tuple(
-            (i, j, Fraction(amount, den)) for i, j, amount in _packets(classes, supply, demand, flows)
-        )
-        witness = Coupling(events=space.events, entries=entries)
+        packets = _packets(classes, supply, demand, flows)
+        witness = Coupling(events=space.events, entries=((i, j, Fraction(a, den)) for i, j, a in packets))
         if not verify_coupling(space, witness, mu, nu):
             raise AssertionError("flow decomposition produced an invalid witness coupling")
         return Certificate(verdict="feasible", witness=witness)
@@ -501,8 +488,8 @@ def coupling_from_jsonable(obj, events: EventSet) -> Coupling:
     if not isinstance(obj, dict):
         raise InputError("coupling must be an object with a 'pairs' list")
     weights: dict[tuple[str, str], Fraction] = {}
-    for entry in _json_lists("pairs", obj.get("pairs"), 3):
-        key = _json_labels("pairs", entry[:2])
+    for entry in _sequence("JSON 'pairs'", obj.get("pairs"), 3):
+        key = _json_labels("JSON 'pairs'", entry[:2])
         weights[key] = weights.get(key, Fraction(0)) + parse_rational(entry[2])
     return coupling(events, weights)
 

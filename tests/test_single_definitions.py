@@ -10,17 +10,23 @@ from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kcausal
 from kcausal import (
     CausalRelation,
     Coupling,
+    EventSet,
     GeneratorSpec,
     InputError,
+    KCausalError,
     Measure,
     TimeFunction,
     TrialConfig,
+    TrialReport,
     closedness_trial,
     compose_couplings,
     condition2_check,
@@ -28,23 +34,28 @@ from kcausal import (
     condition4_check,
     condition5_check,
     convex_combination,
+    coupling_from_jsonable,
     decide_k_causal,
     default_labels,
     enumerate_time_functions,
     enumerate_upsets,
     explicit_space,
+    future_set,
     future_volume_timefn,
+    generate,
     identity_coupling,
     implication_chain_trial,
     integrate,
     is_strictly_monotone,
     minguzzi_check,
+    minkowski_space,
     mix_couplings,
     product_coupling,
     random_dag_space,
     random_forward_push,
     rank_time_function,
     sample_time_function,
+    space_from_jsonable,
     sprinkle_space,
     strassen_check,
     tv_distance,
@@ -361,6 +372,17 @@ def test_event_set_predicates_answer_false():
         lambda: TimeFunction(CHAIN.events, "123"),
         lambda: Measure(explicit_space(["a", "b"], []).events, "10"),
         lambda: Measure(explicit_space(["a", "b"], []).events, b"\x00\x01"),
+        lambda: EventSet(labels="ab"),
+        lambda: minkowski_space(["00", "11"]),
+        lambda: EventSet(labels=5),
+        lambda: EventSet(labels=("a",), coords=5),
+        lambda: minkowski_space(None),
+        lambda: sprinkle_space(3, 2, None, 1),
+        lambda: sprinkle_space(3, 2, [[0, 1], [0]], 1),
+        lambda: explicit_space(["a", "b"], [("a",)]),
+        lambda: explicit_space(["a", "b"], None),
+        lambda: TrialConfig(suites=None),
+        lambda: future_set(CHAIN, [["a"]]),
     ],
     ids=[
         "Coupling pair entry",
@@ -371,8 +393,114 @@ def test_event_set_predicates_answer_false():
         "TimeFunction str",
         "Measure str",
         "Measure bytes",
+        "EventSet str labels",
+        "minkowski_space str points",
+        "EventSet int labels",
+        "EventSet int coords",
+        "minkowski_space None",
+        "sprinkle_space None box",
+        "sprinkle_space short box side",
+        "explicit_space short pair",
+        "explicit_space None pairs",
+        "TrialConfig None suites",
+        "unhashable label",
     ],
 )
 def test_malformed_containers_are_input_errors(call):
     with pytest.raises(InputError):
         call()
+
+
+PAIR = EventSet(labels=("a", "b"))
+HALF = Fraction(1, 2)
+
+# Each constructor or builder that takes a sequence, and a tuple it accepts there.
+SEQUENCE_TAKERS = {
+    "EventSet labels": (lambda v: EventSet(labels=v), ("a", "b")),
+    "EventSet coords": (lambda v: EventSet(labels=("a", "b"), coords=v), ((0, 0), (1, 1))),
+    "CausalRelation": (lambda v: CausalRelation(2, v), (3, 2)),
+    "Measure": (lambda v: Measure(PAIR, v), (HALF, HALF)),
+    "TimeFunction": (lambda v: TimeFunction(PAIR, v), (0, 1)),
+    "Coupling": (lambda v: Coupling(PAIR, v), ((0, 0, HALF), (1, 1, HALF))),
+    "explicit_space labels": (lambda v: explicit_space(v, [("a", "b")]), ("a", "b")),
+    "explicit_space pairs": (lambda v: explicit_space(["a", "b"], v), (("a", "b"),)),
+    "minkowski_space points": (minkowski_space, ((0, 0), (1, 1))),
+    "minkowski_space labels": (lambda v: minkowski_space([[0, 0], [1, 1]], labels=v), ("a", "b")),
+    "sprinkle_space box": (lambda v: sprinkle_space(3, 2, v, 0), ((0, 1), (-1, 1))),
+    "sprinkle_space labels": (lambda v: sprinkle_space(2, 2, BOX, 0, labels=v), ("a", "b")),
+    "random_dag_space labels": (lambda v: random_dag_space(2, 1, 0, labels=v), ("a", "b")),
+    "generate pairs": (lambda v: generate(GeneratorSpec(kind="explicit", labels=("a", "b"), pairs=v)), (("a", "b"),)),
+    "TrialConfig": (lambda v: TrialConfig(suites=v), ("lemma6", "minguzzi")),
+    "TrialReport": (lambda v: TrialReport(TrialConfig(trials=2), v, ()), (("lemma6", 1, 1),)),
+    "coupling_from_jsonable": (lambda v: coupling_from_jsonable({"pairs": v}, PAIR), (("a", "b", 1),)),
+}
+
+# The same sequence as a tuple, a list, a generator, and with its entries as lists too.
+SEQUENCE_FORMS = {
+    "list": list,
+    "generator": lambda value: (x for x in value),
+    "nested lists": lambda value: [list(x) if isinstance(x, tuple) else x for x in value],
+}
+
+
+@pytest.mark.parametrize("form", SEQUENCE_FORMS)
+@pytest.mark.parametrize("taker", SEQUENCE_TAKERS)
+def test_any_iterable_builds_what_its_tuple_builds(taker, form):
+    build, value = SEQUENCE_TAKERS[taker]
+    assert build(SEQUENCE_FORMS[form](value)) == build(value)
+
+
+def test_generator_and_array_arguments():
+    assert Coupling(PAIR, ((i, i, "1/2") for i in range(2))) == identity_coupling(uniform_measure(PAIR))
+    assert EventSet(labels=np.array(["a", "b"])).labels == ("a", "b")
+    assert explicit_space(np.array(["a", "b"]), [("a", "b")]) == explicit_space(("a", "b"), [("a", "b")])
+
+
+# Values that are not sequences of the expected shape: scalars, huge and
+# non-finite numbers, strings, bytes, mappings, one-shot generators of
+# numbers, and nested lists of any arity, some of whose entries are lists.
+not_sequences = (
+    st.none()
+    | st.integers(-3, 3)
+    | st.integers(min_value=2**64, max_value=2**200)
+    | st.just(10**5000)
+    | st.just(float("nan"))
+    | st.text(alphabet="ab01", max_size=3)
+    | st.binary(max_size=3)
+    | st.dictionaries(st.sampled_from(["a", "b", 0]), st.integers(0, 2), max_size=2)
+    | st.lists(st.integers(-1, 3), max_size=3).map(lambda xs: (x for x in xs))
+    | st.lists(st.lists(st.integers(-1, 3) | st.lists(st.integers(0, 1), max_size=1), max_size=4), max_size=3)
+)
+
+# Besides the takers above: space specs whose keys hold non-JSON values.
+SPEC_TAKERS = {
+    "space_from_jsonable events": lambda v: space_from_jsonable({"kind": "explicit", "events": v, "pairs": []}),
+    "space_from_jsonable points": lambda v: space_from_jsonable({"kind": "minkowski", "points": v}),
+    "space_from_jsonable box": lambda v: space_from_jsonable({"kind": "sprinkle", "n": 2, "dim": 2, "box": v, "seed": 0}),
+}
+SEQUENCE_CALLS = {name: build for name, (build, _) in SEQUENCE_TAKERS.items()} | SPEC_TAKERS
+
+
+@settings(deadline=None, max_examples=60)
+@given(value=not_sequences)
+@pytest.mark.parametrize("taker", SEQUENCE_CALLS)
+def test_sequence_takers_raise_only_toolkit_errors(taker, value):
+    try:
+        SEQUENCE_CALLS[taker](value)
+    except KCausalError:
+        pass
+
+
+def test_only_structure_refuses_strings_as_containers():
+    # ``structure._sequence`` is the one container rule; other modules call it
+    # instead of testing for ``str``/``bytes`` or abstract container classes.
+    package = Path(kcausal.__file__).resolve().parent
+    users = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance" and len(node.args) == 2:
+                kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+                names = {getattr(kind, "id", None) for kind in kinds}
+                if names & {"bytes", "Iterable", "Sequence"} or ("str" in names and len(names) > 1):
+                    users.add(path.name)
+    assert users == {"structure.py"}

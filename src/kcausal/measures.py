@@ -14,7 +14,9 @@ from functools import cached_property
 from typing import Iterable, Mapping
 
 from .errors import InputError, _shown
-from .structure import EventSet, _rationals, _require_same_events, _scaled, iter_bits, parse_rational
+from .structure import (
+    EventSet, _by_label, _mapping, _rationals, _require_same_events, _scaled, iter_bits, parse_rational,
+)
 
 __all__ = [
     "Measure",
@@ -95,10 +97,7 @@ class Measure:
 
 def measure(events: EventSet, weights: Mapping[str, object]) -> Measure:
     """Measure from a label-to-weight mapping; absent labels carry zero."""
-    vec = [Fraction(0)] * len(events)
-    for label, value in weights.items():
-        vec[events.index_of(label)] = parse_rational(value)
-    return Measure(events=events, weights=tuple(vec))
+    return Measure(events=events, weights=_by_label("measure weights", events, weights, absent=Fraction(0)))
 
 
 def dirac(events: EventSet, label: str) -> Measure:
@@ -137,29 +136,21 @@ def convex_combination(lam, mu: Measure, nu: Measure) -> Measure:
 
 
 def integrate(mu: Measure, f) -> Fraction:
-    """Expectation of a per-event function; exact when values are rational.
+    """Exact expectation of a per-event function under ``mu``.
 
-    ``f`` may be a mapping from label to value or an object with per-event
-    ``values`` aligned with the event order (e.g. a time function).
+    ``f`` is either a mapping from every label of ``mu``'s events to a
+    rational value, or a time function on ``mu``'s events.
     """
-    if isinstance(f, Mapping):
-        missing = [lab for lab in mu.events.labels if lab not in f]
-        if missing:
-            raise InputError(f"integrand missing value for {_shown(missing[0])}")
-        vec = [f[lab] for lab in mu.events.labels]
+    if isinstance(getattr(f, "values", None), tuple):  # a time function
+        _require_same_events(mu, f)
+        values = f.values
     else:
-        if hasattr(f, "events"):
-            _require_same_events(mu, f)
-        vec = list(getattr(f, "values", f))
-        if len(vec) != len(mu.events):
-            raise InputError("integrand must provide one value per event")
-    return sum(v * w for v, w in zip(vec, mu.weights) if w)
+        values = _by_label("integrand", mu.events, f)
+    return sum(v * w for v, w in zip(values, mu.weights) if w)
 
 
 def measure_from_jsonable(obj, events: EventSet) -> Measure:
-    if not isinstance(obj, dict) or not isinstance(obj.get("weights"), dict):
-        raise InputError("measure must be an object with a 'weights' mapping")
-    return measure(events, obj["weights"])
+    return measure(events, _mapping("measure", obj).get("weights"))
 
 
 def measure_to_jsonable(mu: Measure) -> dict:

@@ -122,7 +122,7 @@ def _sequence(what: str, value, width: int | None = None) -> tuple:
 
     With ``width``, every entry must itself be such a sequence of ``width`` items, and is read into a tuple too.
     """
-    exact = type(value) in (tuple, list)  # tested first: the abstract-class checks are slower
+    exact = type(value) in (tuple, list, set, frozenset)  # tested first: the abstract-class checks are slower
     if not exact and (isinstance(value, (str, bytes, Mapping)) or not isinstance(value, Iterable)):
         raise InputError(f"{what} must be a list")
     items = tuple(value)
@@ -132,6 +132,22 @@ def _sequence(what: str, value, width: int | None = None) -> tuple:
     if any(len(x) != width for x in entries):
         raise InputError(f"every entry of {what} must be a list of {width} items")
     return entries
+
+
+def _by_label(what: str, events: EventSet, mapping, absent: Fraction | None = None) -> tuple[Fraction, ...]:
+    """Per-event rationals of a label-keyed mapping; a label it lacks gets ``absent``, or is refused if that is None."""
+    values = [absent] * len(events)
+    for label, value in _mapping(what, mapping).items():
+        values[events.index_of(label)] = parse_rational(value)
+    if absent is None and None in values:
+        raise InputError(f"{what} missing value for {_shown(events.labels[values.index(None)])}")
+    return tuple(values)
+
+
+def _mapping(what: str, value) -> Mapping:
+    if not isinstance(value, Mapping):
+        raise InputError(f"{what} must be a mapping")
+    return value
 
 
 def _rationals(what: str, values) -> tuple[Fraction, ...]:
@@ -173,6 +189,7 @@ class EventSet:
             raise InputError("event set must contain at least one event")
         if any(not isinstance(lab, str) or not lab for lab in self.labels):
             raise InputError("event labels must be nonempty strings")
+        object.__setattr__(self, "labels", tuple(map(str, self.labels)))  # a str subclass (numpy's) as plain str
         if len(set(self.labels)) != len(self.labels):
             raise InputError("event labels must be pairwise distinct")
         if self.coords is not None:
@@ -204,7 +221,7 @@ class EventSet:
 
     def mask_of(self, subset: Iterable[str]) -> int:
         mask = 0
-        for label in subset:
+        for label in _sequence("event subset", subset):
             mask |= 1 << self.index_of(label)
         return mask
 
@@ -275,6 +292,8 @@ class CausalRelation:
 
 def _require_same_events(first, *others):
     """Refuse spaces, measures, couplings or time functions whose event labels differ from ``first``'s."""
+    if not all(isinstance(getattr(x, "events", None), EventSet) for x in (first, *others)):
+        raise InputError("expected spaces, measures, couplings or time functions")
     if any(other.events.labels != first.events.labels for other in others):
         raise InputError("arguments live on different event sets")
 
@@ -537,6 +556,15 @@ class GeneratorSpec:
             raise InputError(f"{self.kind} generator needs {', '.join(missing)}")
         if self.seed is not None:
             _check_seed(self.seed)
+        # Read once into tuples, so that one-shot iterables build the same space on every ``generate``.
+        for name, what, read, width in (
+            ("labels", "event labels", _sequence, None),
+            ("pairs", "relation pairs", _sequence, 2),
+            ("points", "minkowski points", _points, None),
+            ("box", "sprinkle box", _points, 2),
+        ):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, read(what, getattr(self, name), width))
 
 
 def _kind_fields(kind) -> tuple[str, ...]:

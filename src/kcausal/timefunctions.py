@@ -25,9 +25,11 @@ from .structure import (
     SEED_SPAN,
     CausalSpace,
     EventSet,
+    _by_label,
     _check_bound,
     _check_count,
     _check_seed,
+    _mapping,
     _order_links,
     _rationals,
     _require_same_events,
@@ -101,11 +103,7 @@ def is_strictly_monotone(space: CausalSpace, timefn: TimeFunction) -> bool:
 def time_function(space: CausalSpace, values: Mapping[str, object]) -> TimeFunction:
     """Validated time function from a label-to-value mapping."""
     _require_stably_causal(space)
-    space.events.mask_of(values)  # refuses unknown labels
-    missing = [x for x in space.events.labels if x not in values]
-    if missing:
-        raise InputError(f"missing time values for events {sorted(missing)}")
-    timefn = TimeFunction(events=space.events, values=[values[x] for x in space.events.labels])
+    timefn = TimeFunction(events=space.events, values=_by_label("time values", space.events, values))
     if not is_strictly_monotone(space, timefn):
         raise InputError("values do not strictly increase along the causal order")
     return timefn
@@ -216,8 +214,8 @@ def future_volume_timefn(space: CausalSpace, eta: Measure, lam, y: Iterable[str]
     result is strictly monotone, and ``eta(F(p) & Y) > 0`` exactly when
     ``p`` lies in ``Y``.
     """
-    _require_stably_causal(space)
     _require_same_events(space, eta)
+    _require_stably_causal(space)
     if not eta.admissible:
         raise InputError("reference measure must put positive weight on every event")
     lam = parse_rational(lam)
@@ -293,8 +291,8 @@ def condition4_check(
     """
     if half_line not in ("open", "closed"):
         raise InputError(f"unknown half-line variant: {_shown(half_line)}")
-    _require_stably_causal(space)
     _require_same_events(space, mu, nu)
+    _require_stably_causal(space)
     if mode == "exhaustive":
         _check_bound("extension enumeration", space.n, max_events)
         orders: Iterable[Iterable[int]] = _linear_extensions(space)
@@ -329,8 +327,8 @@ def condition5_check(
     violating up-set yields a violating perturbed indicator, which exact mode
     constructs and verifies before answering false.
     """
-    _require_stably_causal(space)
     _require_same_events(space, mu, nu)
+    _require_stably_causal(space)
     if mode == "sampled":
         return all(
             integrate(mu, t) <= integrate(nu, t)
@@ -384,6 +382,4 @@ def timefn_to_jsonable(timefn: TimeFunction) -> dict:
 
 
 def timefn_from_jsonable(obj, space: CausalSpace) -> TimeFunction:
-    if not isinstance(obj, dict) or not isinstance(obj.get("values"), dict):
-        raise InputError("time function must be an object with a 'values' mapping")
-    return time_function(space, obj["values"])
+    return time_function(space, _mapping("time function", obj).get("values"))

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import InputError, _shown
 from .measures import Measure, _mixture_coefficient, format_rational, parse_rational
 from .structure import (
-    DEFAULT_UPSET_BOUND, CausalSpace, EventSet, _check_bound, _is_integer, _json_labels, _order_links,
+    DEFAULT_UPSET_BOUND, CausalSpace, EventSet, _check_bound, _is_integer, _json_labels, _mapping, _order_links,
     _require_same_events, _scaled, _sequence, _SubsetTables,
 )
 
@@ -105,12 +105,10 @@ def coupling(
     nu: Measure | None = None,
 ) -> Coupling:
     """Coupling from a pair-to-weight mapping, checked against declared marginals."""
-    entries = []
-    for (cause, effect), value in weights.items():
-        w = parse_rational(value)
-        if w:
-            entries.append((events.index_of(cause), events.index_of(effect), w))
-    omega = Coupling(events=events, entries=tuple(entries))
+    weights = _mapping("coupling weights", weights)
+    pairs = zip(_sequence("coupling pairs", weights.keys(), 2), weights.values())
+    entries = ((events.index_of(c), events.index_of(e), parse_rational(w)) for (c, e), w in pairs)
+    omega = Coupling(events=events, entries=((i, j, w) for i, j, w in entries if w))
     first, second = omega._marginals
     if mu is not None and first.weights != mu.weights:
         raise InputError("first marginal does not match the declared measure")
@@ -485,10 +483,8 @@ def coupling_to_jsonable(omega: Coupling) -> dict:
 
 
 def coupling_from_jsonable(obj, events: EventSet) -> Coupling:
-    if not isinstance(obj, dict):
-        raise InputError("coupling must be an object with a 'pairs' list")
     weights: dict[tuple[str, str], Fraction] = {}
-    for entry in _sequence("JSON 'pairs'", obj.get("pairs"), 3):
+    for entry in _sequence("JSON 'pairs'", _mapping("coupling", obj).get("pairs"), 3):
         key = _json_labels("JSON 'pairs'", entry[:2])
         weights[key] = weights.get(key, Fraction(0)) + parse_rational(entry[2])
     return coupling(events, weights)

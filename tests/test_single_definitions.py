@@ -6,6 +6,7 @@ import ast
 import importlib
 import inspect
 import random
+import sys
 from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
@@ -24,6 +25,7 @@ from kcausal import (
     InputError,
     KCausalError,
     Measure,
+    NotStablyCausalError,
     TimeFunction,
     TrialConfig,
     TrialReport,
@@ -34,6 +36,7 @@ from kcausal import (
     condition4_check,
     condition5_check,
     convex_combination,
+    coupling,
     coupling_from_jsonable,
     decide_k_causal,
     default_labels,
@@ -45,19 +48,27 @@ from kcausal import (
     generate,
     identity_coupling,
     implication_chain_trial,
+    indicator_time_function,
     integrate,
     is_strictly_monotone,
+    is_upset,
+    lemma_complement_check,
+    measure,
+    measure_of,
     minguzzi_check,
     minkowski_space,
     mix_couplings,
+    past_set,
     product_coupling,
     random_dag_space,
     random_forward_push,
     rank_time_function,
     sample_time_function,
     space_from_jsonable,
+    space_to_jsonable,
     sprinkle_space,
     strassen_check,
+    time_function,
     tv_distance,
     uniform_measure,
     upset_masks,
@@ -383,6 +394,18 @@ def test_event_set_predicates_answer_false():
         lambda: explicit_space(["a", "b"], None),
         lambda: TrialConfig(suites=None),
         lambda: future_set(CHAIN, [["a"]]),
+        lambda: integrate(UNIFORM, None),
+        lambda: integrate(UNIFORM, 5),
+        lambda: integrate(UNIFORM, {"a": 1, "b": 2, "c": 3, "zz": 4}),
+        lambda: integrate(UNIFORM, [1, 2, 3]),
+        lambda: measure(CHAIN.events, None),
+        lambda: coupling(CHAIN.events, None),
+        lambda: coupling(CHAIN.events, {"ab": 1}),
+        lambda: coupling(CHAIN.events, {("a", "b", "c"): 1}),
+        lambda: time_function(CHAIN, None),
+        lambda: future_set(CHAIN, None),
+        lambda: future_set(CHAIN, "ab"),
+        lambda: measure_of(UNIFORM, "ab"),
     ],
     ids=[
         "Coupling pair entry",
@@ -404,6 +427,18 @@ def test_event_set_predicates_answer_false():
         "explicit_space None pairs",
         "TrialConfig None suites",
         "unhashable label",
+        "integrate None",
+        "integrate int",
+        "integrate unknown label",
+        "integrate list",
+        "measure None",
+        "coupling None",
+        "coupling str pair",
+        "coupling triple key",
+        "time_function None",
+        "future_set None",
+        "future_set str",
+        "measure_of str",
     ],
 )
 def test_malformed_containers_are_input_errors(call):
@@ -430,6 +465,9 @@ SEQUENCE_TAKERS = {
     "sprinkle_space labels": (lambda v: sprinkle_space(2, 2, BOX, 0, labels=v), ("a", "b")),
     "random_dag_space labels": (lambda v: random_dag_space(2, 1, 0, labels=v), ("a", "b")),
     "generate pairs": (lambda v: generate(GeneratorSpec(kind="explicit", labels=("a", "b"), pairs=v)), (("a", "b"),)),
+    "GeneratorSpec labels": (lambda v: generate(GeneratorSpec(kind="explicit", labels=v, pairs=())), ("a", "b")),
+    "GeneratorSpec points": (lambda v: generate(GeneratorSpec(kind="minkowski", points=v)), ((0, 0), (1, 1))),
+    "GeneratorSpec box": (lambda v: generate(GeneratorSpec(kind="sprinkle", n=3, dim=2, box=v, seed=0)), ((0, 1), (-1, 1))),
     "TrialConfig": (lambda v: TrialConfig(suites=v), ("lemma6", "minguzzi")),
     "TrialReport": (lambda v: TrialReport(TrialConfig(trials=2), v, ()), (("lemma6", 1, 1),)),
     "coupling_from_jsonable": (lambda v: coupling_from_jsonable({"pairs": v}, PAIR), (("a", "b", 1),)),
@@ -492,15 +530,230 @@ def test_sequence_takers_raise_only_toolkit_errors(taker, value):
 
 
 def test_only_structure_refuses_strings_as_containers():
-    # ``structure._sequence`` is the one container rule; other modules call it
-    # instead of testing for ``str``/``bytes`` or abstract container classes.
+    # ``structure._sequence`` and ``structure._mapping`` are the container rules; other
+    # modules call them instead of testing for ``str``/``bytes`` or abstract container classes.
     package = Path(kcausal.__file__).resolve().parent
     users = set()
     for path in package.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance" and len(node.args) == 2:
                 kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
-                names = {getattr(kind, "id", None) for kind in kinds}
-                if names & {"bytes", "Iterable", "Sequence"} or ("str" in names and len(names) > 1):
+                names = {getattr(kind, "id", getattr(kind, "attr", None)) for kind in kinds}  # Name or a.b.Name
+                if names & {"bytes", "Iterable", "Sequence", "Mapping"} or ("str" in names and len(names) > 1):
                     users.add(path.name)
     assert users == {"structure.py"}
+
+
+PAIR_SPACE = explicit_space(["a", "b"], [("a", "b")])
+
+# Each label-keyed mapping parameter, and a mapping it accepts there.
+MAPPING_TAKERS = {
+    "measure weights": (lambda v: measure(PAIR, v), {"a": HALF, "b": HALF}),
+    "coupling weights": (lambda v: coupling(PAIR, v), {("a", "a"): HALF, ("a", "b"): HALF}),
+    "time_function values": (lambda v: time_function(PAIR_SPACE, v), {"a": 0, "b": 1}),
+    "integrate f": (lambda v: integrate(uniform_measure(PAIR), v), {"a": 0, "b": 1}),
+}
+
+# Each label-subset parameter, and a subset it accepts there.
+SUBSET_TAKERS = {
+    "future_set X": (lambda v: future_set(CHAIN, v), ("b",)),
+    "past_set X": (lambda v: past_set(CHAIN, v), ("b",)),
+    "is_upset X": (lambda v: is_upset(CHAIN, v), ("b", "c")),
+    "lemma_complement_check X": (lambda v: lemma_complement_check(CHAIN, v), ("a", "c")),
+    "measure_of X": (lambda v: measure_of(UNIFORM, v), ("a", "c")),
+    "indicator_time_function subset": (lambda v: indicator_time_function(CHAIN, v), ("b", "c")),
+    "future_volume_timefn y": (lambda v: future_volume_timefn(CHAIN, UNIFORM, HALF, v), ("a", "b")),
+}
+
+# The same subset as a list, a generator, a set and a frozenset, each with one label repeated.
+SUBSET_FORMS = {"list": list, "generator": lambda v: (x for x in v), "set": set, "frozenset": frozenset}
+
+
+@pytest.mark.parametrize("form", SUBSET_FORMS)
+@pytest.mark.parametrize("taker", SUBSET_TAKERS)
+def test_any_iterable_of_labels_reads_as_its_subset(taker, form):
+    build, value = SUBSET_TAKERS[taker]
+    assert build(SUBSET_FORMS[form](value + value[:1])) == build(value)
+
+
+# Keys and values a label-keyed mapping may hold by mistake.
+hostile_mappings = st.dictionaries(
+    st.sampled_from(["a", "b", "ab", ("a", "b"), ("a", "a"), ("a", "b", "c"), 0, None, b"a"]),
+    not_sequences | st.floats(allow_nan=True) | st.sampled_from(["1/2", "x", "1e400"]),
+    max_size=3,
+)
+LABEL_CALLS = {name: build for name, (build, _) in (MAPPING_TAKERS | SUBSET_TAKERS).items()}
+
+
+@settings(deadline=None, max_examples=60)
+@given(value=not_sequences | hostile_mappings)
+@pytest.mark.parametrize("taker", LABEL_CALLS)
+def test_mapping_and_subset_takers_raise_only_toolkit_errors(taker, value):
+    try:
+        LABEL_CALLS[taker](value)
+    except KCausalError:
+        pass
+
+
+def test_integrate_reads_values_exactly():
+    uniform = uniform_measure(PAIR)
+    assert integrate(uniform, {"a": 0.1, "b": 0.2}) == (Fraction(0.1) + Fraction(0.2)) / 2
+    assert type(integrate(uniform, {"a": 0.1, "b": 0.2})) is Fraction
+    assert integrate(uniform, {"a": "1/2", "b": "1"}) == Fraction(3, 4)
+
+
+def test_generator_spec_reads_its_sequences_once():
+    spec = GeneratorSpec(kind="explicit", labels=iter(("a", "b")), pairs=(p for p in [("a", "b")]))
+    assert generate(spec) == generate(spec) == explicit_space(["a", "b"], [("a", "b")])
+    spec = GeneratorSpec(kind="sprinkle", n=4, dim=2, box=(iter(side) for side in BOX), seed=3)
+    assert generate(spec) == generate(spec) == sprinkle_space(4, 2, BOX, 3)
+
+
+def test_labels_are_plain_strings():
+    space = explicit_space(np.array(["a", "b"]), [("a", "b"), ("b", "a")])
+    with pytest.raises(NotStablyCausalError, match="events 'a' and 'b' precede each other"):
+        rank_time_function(space)
+    emitted = space_to_jsonable(space)
+    labels = emitted["events"] + [label for pair in emitted["relation"]["pairs"] for label in pair]
+    assert labels and all(type(label) is str for label in labels)
+
+
+IDENTITY = identity_coupling(UNIFORM)
+
+# Every call that takes two or more of a space, a measure, a coupling and a
+# time function, with arguments it accepts.
+OBJECT_CALLS = {
+    tv_distance: dict(mu=UNIFORM, nu=UNIFORM),
+    convex_combination: dict(lam=HALF, mu=UNIFORM, nu=UNIFORM),
+    integrate: dict(mu=UNIFORM, f=rank_time_function(CHAIN)),
+    product_coupling: dict(mu=UNIFORM, nu=UNIFORM),
+    compose_couplings: dict(omega1=IDENTITY, omega2=IDENTITY),
+    mix_couplings: dict(lam=HALF, omega1=IDENTITY, omega2=IDENTITY),
+    decide_k_causal: dict(space=CHAIN, mu=UNIFORM, nu=UNIFORM),
+    strassen_check: dict(space=CHAIN, mu=UNIFORM, nu=UNIFORM),
+    condition2_check: dict(space=CHAIN, mu=UNIFORM, nu=UNIFORM),
+    condition3_check: dict(space=CHAIN, mu=UNIFORM, nu=UNIFORM),
+    condition4_check: dict(space=CHAIN, mu=UNIFORM, nu=UNIFORM),
+    condition5_check: dict(space=CHAIN, mu=UNIFORM, nu=UNIFORM),
+    future_volume_timefn: dict(space=CHAIN, eta=UNIFORM, lam=HALF, y=()),
+    random_forward_push: dict(rng=random.Random(0), space=CHAIN, mu=UNIFORM),
+    closedness_trial: dict(space=CHAIN, mu=UNIFORM, nu=UNIFORM, mu_prime=UNIFORM, nu_prime=UNIFORM, steps=1),
+    implication_chain_trial: dict(space=CHAIN, mu=UNIFORM, nu=UNIFORM),
+}
+# Each of their object parameters, called with the value there.
+OBJECT_TAKERS = {
+    f"{func.__name__} {name}": lambda v, func=func, kwargs=kwargs, name=name: func(**{**kwargs, name: v})
+    for func, kwargs in OBJECT_CALLS.items()
+    for name, arg in kwargs.items()
+    if hasattr(arg, "events")
+}
+
+
+@pytest.mark.parametrize("value", [None, 5, "ab", PAIR], ids=["None", "int", "str", "EventSet"])
+@pytest.mark.parametrize("taker", OBJECT_TAKERS)
+def test_object_takers_refuse_non_objects(taker, value):
+    with pytest.raises(InputError):
+        OBJECT_TAKERS[taker](value)
+
+
+# Public parameters no taker table above feeds, each with the reason.
+EXEMPT_PARAMETERS = {
+    # Single-object arguments: a value that is not a toolkit object fails at its
+    # first attribute read.  A check per function would add a line to each; the
+    # multi-object calls share ``_require_same_events``.
+    "single object": [
+        "CausalSpace events", "CausalSpace raw", "CausalSpace kplus", "Coupling events", "Measure events",
+        "TimeFunction events", "TrialReport config", "certificate_to_jsonable cert", "coupling events",
+        "coupling mu", "coupling nu", "coupling_from_jsonable events", "coupling_to_jsonable omega",
+        "dirac events", "enumerate_time_functions space", "enumerate_upsets space", "future_set space",
+        "generate spec", "identity_coupling mu", "indicator_time_function space", "is_stably_causal space",
+        "is_upset space", "kplus_closure raw", "lemma_complement_check space", "marginals omega",
+        "measure events", "measure_from_jsonable events", "measure_of mu", "measure_to_jsonable mu",
+        "minguzzi_check space", "past_set space", "random_feasible_pair space", "random_measure events",
+        "rank_time_function space", "report_to_jsonable report", "run_suite config", "sample_time_function space",
+        "space_to_jsonable space", "time_function space", "timefn_from_jsonable space",
+        "timefn_to_jsonable timefn", "uniform_measure events", "upset_masks space",
+    ],
+    # Predicates: they answer False for toolkit objects on other event sets; any
+    # other value fails at its first attribute read, as in a single-object call.
+    "predicate": [
+        "verify_coupling space", "verify_coupling omega", "verify_coupling mu", "verify_coupling nu",
+        "is_strictly_monotone space", "is_strictly_monotone timefn",
+    ],
+    # What the harness's own samplers are handed: its random generator and its size bound.
+    "sampler": [
+        "random_feasible_pair rng", "random_forward_push rng", "random_measure rng", "random_space rng",
+        "random_space max_events",
+    ],
+    # Whole JSON documents: tests/test_readers.py feeds them arbitrary JSON values.
+    "JSON reader": [
+        "generator_spec_from_jsonable obj", "space_from_jsonable obj", "measure_from_jsonable obj",
+        "coupling_from_jsonable obj", "timefn_from_jsonable obj",
+    ],
+    # Scalars each read by one check that ends in InputError: ``parse_rational`` for
+    # rationals, ``index_of`` for labels, a membership test for names.
+    "scalar": [
+        "parse_rational value", "format_rational value", "convex_combination lam", "mix_couplings lam",
+        "future_volume_timefn lam", "indicator_time_function epsilon", "random_dag_space edge_prob",
+        "GeneratorSpec edge_prob", "dirac label", "minguzzi_check p", "minguzzi_check q", "GeneratorSpec kind",
+        "space_to_jsonable relation", "condition4_check half_line", "condition4_check mode",
+        "condition5_check mode", "Certificate verdict",
+    ],
+    # Checked by the builder ``generate`` passes them to, whose own parameter is fed.
+    "GeneratorSpec count": ["GeneratorSpec n", "GeneratorSpec dim"],
+    # Built by ``decide_k_causal`` and ``run_suite``; their fields are results, not input.
+    "result record": [
+        "Certificate witness", "Certificate violator", "Certificate mu_B", "Certificate nu_kplus_B",
+        "TrialReport failures", "chain_violations verdicts",
+    ],
+}
+
+MARK = object()
+
+
+def fed_parameters(calls) -> set[str]:
+    """``"callable parameter"`` for each public parameter that ``calls`` hand ``MARK`` to."""
+    public = {}
+    for name in kcausal.__all__:
+        obj = getattr(kcausal, name)
+        code = getattr(obj.__init__ if isinstance(obj, type) else obj, "__code__", None)
+        if code is not None:
+            public[code] = name
+    fed = set()
+
+    def watch(frame, event, _):
+        if event == "call" and frame.f_code in public:
+            fed.update(f"{public[frame.f_code]} {p}" for p, v in frame.f_locals.items() if v is MARK)
+
+    sys.setprofile(watch)
+    try:
+        for call in calls:
+            try:
+                call(MARK)
+            except KCausalError:
+                pass
+    finally:
+        sys.setprofile(None)
+    return fed
+
+
+def test_every_public_parameter_is_fed_or_exempt():
+    callables = [getattr(kcausal, name) for name in kcausal.__all__]
+    everything = {
+        f"{func.__name__} {p}"
+        for func in callables
+        if callable(func) and not (isinstance(func, type) and issubclass(func, BaseException))
+        for p in inspect.signature(func).parameters
+    }
+    tables = [
+        SEED_TAKERS.values(),
+        [call for _, _, call in COUNT_TAKERS.values()],
+        SEQUENCE_CALLS.values(),
+        LABEL_CALLS.values(),
+        OBJECT_TAKERS.values(),
+    ]
+    fed = fed_parameters([call for table in tables for call in table])
+    exempt = {p for group in EXEMPT_PARAMETERS.values() for p in group}
+    assert fed & exempt == set()
+    assert everything - fed - exempt == set()
+    assert (fed | exempt) - everything == set()

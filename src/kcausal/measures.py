@@ -141,6 +141,7 @@ def integrate(mu: Measure, f) -> Fraction:
     ``f`` is either a mapping from every label of ``mu``'s events to a
     rational value, or a time function on ``mu``'s events.
     """
+    _require_same_events(mu)
     if isinstance(getattr(f, "values", None), tuple):  # a time function
         _require_same_events(mu, f)
         values = f.values

@@ -161,6 +161,14 @@ def _points(what: str, value, width: int | None = None) -> tuple[tuple[Fraction,
     return tuple(map(_rationals, repeat(f"every entry of {what}"), _sequence(what, value, width)))
 
 
+def _labels(what: str, value) -> tuple[str, ...]:
+    """``value`` read by :func:`_sequence` as nonempty strings; a ``str`` subclass (numpy's) comes back as plain ``str``."""
+    labels = _sequence(what, value)
+    if not all(isinstance(label, str) and label for label in labels):
+        raise InputError(f"{what} must be a list of strings, none empty")
+    return tuple(map(str, labels))
+
+
 def _exponent_exceeds_digit_limit(text: str) -> bool:
     _, marker, exponent = text.lower().partition("e")
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -184,12 +192,9 @@ class EventSet:
     coords: tuple[tuple[Fraction, ...], ...] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "labels", _sequence("event labels", self.labels))
+        object.__setattr__(self, "labels", _labels("event labels", self.labels))
         if not self.labels:
             raise InputError("event set must contain at least one event")
-        if any(not isinstance(lab, str) or not lab for lab in self.labels):
-            raise InputError("event labels must be nonempty strings")
-        object.__setattr__(self, "labels", tuple(map(str, self.labels)))  # a str subclass (numpy's) as plain str
         if len(set(self.labels)) != len(self.labels):
             raise InputError("event labels must be pairwise distinct")
         if self.coords is not None:
@@ -554,17 +559,21 @@ class GeneratorSpec:
         missing = [name for name in _kind_fields(self.kind) if getattr(self, name) is None]
         if missing:
             raise InputError(f"{self.kind} generator needs {', '.join(missing)}")
-        if self.seed is not None:
-            _check_seed(self.seed)
-        # Read once into tuples, so that one-shot iterables build the same space on every ``generate``.
-        for name, what, read, width in (
-            ("labels", "event labels", _sequence, None),
-            ("pairs", "relation pairs", _sequence, 2),
-            ("points", "minkowski points", _points, None),
-            ("box", "sprinkle box", _points, 2),
+        # Each field but edge_prob is checked here, and read once: one-shot iterables build alike on every generate.
+        for name, read in (
+            ("labels", lambda v: _labels("event labels", v)),
+            ("pairs", lambda v: tuple(_labels("every entry of relation pairs", p) for p in _sequence("relation pairs", v, 2))),
+            ("points", lambda v: _points("minkowski points", v)),
+            ("box", lambda v: _points("sprinkle box", v, 2)),
         ):
             if getattr(self, name) is not None:
-                object.__setattr__(self, name, read(what, getattr(self, name), width))
+                object.__setattr__(self, name, read(getattr(self, name)))
+        if self.n is not None:
+            _check_count("event count", self.n)
+        if self.dim is not None:
+            _check_count("sprinkle dimension (time plus space)", self.dim, least=2)
+        if self.seed is not None:
+            _check_seed(self.seed)
 
 
 def _kind_fields(kind) -> tuple[str, ...]:
@@ -755,30 +764,8 @@ def generate(spec: GeneratorSpec) -> CausalSpace:
 # JSON formats
 
 
-def _json_labels(what: str, value) -> tuple[str, ...]:
-    labels = _sequence(what, value)
-    if not all(isinstance(label, str) for label in labels):
-        raise InputError(f"{what} must give labels as a list of strings")
-    return labels
-
-
-def _json_integer(what: str, value) -> int:
-    if not _is_integer(value):
-        raise InputError(f"{what} must be an integer, got {_shown(value)}")
-    return value
-
-
-# Per GeneratorSpec field: its key in a JSON recipe and that key's reader.
-_JSON_FIELDS = {
-    "labels": ("events", _json_labels),
-    "pairs": ("pairs", lambda what, v: tuple(_json_labels(what, pair) for pair in _sequence(what, v, 2))),
-    "points": ("points", _points),
-    "n": ("n", _json_integer),
-    "dim": ("dim", _json_integer),
-    "box": ("box", lambda what, v: _points(what, v, 2)),
-    "edge_prob": ("p", lambda what, v: v),
-    "seed": ("seed", _json_integer),
-}
+# JSON recipe keys named other than the GeneratorSpec field they fill.
+_JSON_KEYS = {"labels": "events", "edge_prob": "p"}
 
 
 def generator_spec_from_jsonable(obj) -> GeneratorSpec:
@@ -793,15 +780,10 @@ def generator_spec_from_jsonable(obj) -> GeneratorSpec:
             raise InputError("embedded relation must have kind 'explicit'")
         obj = {**relation, "events": obj["events"]}
     kind = obj["kind"]
-    needs = _kind_fields(kind)
-    fields = {}
-    for name in dict.fromkeys(("labels", *needs)):
-        key, read = _JSON_FIELDS[name]
-        if key in obj:
-            fields[name] = read(f"JSON {_shown(key)}", obj[key])
-        elif name in needs:
-            raise InputError(f"{kind} spec needs {_shown(key)}")
-    return GeneratorSpec(kind=kind, **fields)
+    keys = {name: _JSON_KEYS.get(name, name) for name in ("labels", *_kind_fields(kind))}
+    if any(obj.get(key, ()) is None for key in keys.values()):  # a GeneratorSpec field of None means absent
+        raise InputError(f"{kind} spec values must not be null")
+    return GeneratorSpec(kind=kind, **{name: obj[key] for name, key in keys.items() if key in obj})
 
 
 def space_from_jsonable(obj) -> CausalSpace:

@@ -12,7 +12,7 @@ answers.
 from __future__ import annotations
 
 import random
-from bisect import bisect_left, insort
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -94,7 +94,11 @@ def _require_stably_causal(space: CausalSpace):
 
 
 def is_strictly_monotone(space: CausalSpace, timefn: TimeFunction) -> bool:
-    if timefn.events.labels != space.events.labels or not is_stably_causal(space):
+    try:
+        _require_same_events(space, timefn)
+    except InputError:
+        return False
+    if not is_stably_causal(space):
         return False
     values = timefn.values
     return all(values[i] < values[j] for i, j in _covers(space))
@@ -200,7 +204,7 @@ def sample_time_function(space: CausalSpace, seed: int) -> TimeFunction:
     rng = random.Random(seed)
     level = Fraction(rng.randrange(0, 24), 24)
     values = [Fraction(0)] * space.n
-    for j in _ready_order(space, lambda ready: bisect_left(ready, rng.choice(ready))):
+    for j in _ready_order(space, lambda ready: rng.randrange(len(ready))):
         values[j] = level
         level += Fraction(rng.randrange(1, 25), 24)
     return TimeFunction(events=space.events, values=tuple(values))

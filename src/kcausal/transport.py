@@ -21,7 +21,7 @@ import numpy as np
 from .errors import InputError, _shown
 from .measures import Measure, _mixture_coefficient, format_rational, parse_rational
 from .structure import (
-    DEFAULT_UPSET_BOUND, CausalSpace, EventSet, _check_bound, _is_integer, _json_labels, _mapping, _order_links,
+    DEFAULT_UPSET_BOUND, CausalSpace, EventSet, _check_bound, _is_integer, _labels, _mapping, _order_links,
     _require_same_events, _scaled, _sequence, _SubsetTables,
 )
 
@@ -134,7 +134,9 @@ def marginals(omega: Coupling) -> tuple[Measure, Measure]:
 
 def verify_coupling(space: CausalSpace, omega: Coupling, mu: Measure, nu: Measure) -> bool:
     """True iff the marginals match exactly and all mass sits inside the closure."""
-    if any(x.events.labels != space.events.labels for x in (omega, mu, nu)):
+    try:
+        _require_same_events(space, omega, mu, nu)
+    except InputError:
         return False
     first, second = omega._marginals
     if first.weights != mu.weights or second.weights != nu.weights:
@@ -485,7 +487,7 @@ def coupling_to_jsonable(omega: Coupling) -> dict:
 def coupling_from_jsonable(obj, events: EventSet) -> Coupling:
     weights: dict[tuple[str, str], Fraction] = {}
     for entry in _sequence("JSON 'pairs'", _mapping("coupling", obj).get("pairs"), 3):
-        key = _json_labels("JSON 'pairs'", entry[:2])
+        key = _labels("JSON 'pairs'", entry[:2])
         weights[key] = weights.get(key, Fraction(0)) + parse_rational(entry[2])
     return coupling(events, weights)
 

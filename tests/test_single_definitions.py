@@ -46,6 +46,7 @@ from kcausal import (
     future_set,
     future_volume_timefn,
     generate,
+    generator_spec_from_jsonable,
     identity_coupling,
     implication_chain_trial,
     indicator_time_function,
@@ -324,6 +325,99 @@ def test_count_takers_reject_non_counts_alike(taker, value):
     with pytest.raises(InputError) as got:
         call(value)
     assert str(got.value) == str(expected.value)
+
+
+# One recipe per generator kind that builds, as GeneratorSpec fields.
+RECIPES = {
+    "explicit": dict(labels=["a", "b"], pairs=[["a", "b"]]),
+    "minkowski": dict(labels=["a", "b"], points=[[0, 0], [1, 1]]),
+    "sprinkle": dict(n=3, dim=2, box=BOX, seed=0),
+    "random-dag": dict(labels=["a", "b", "c"], n=3, edge_prob="1/2", seed=0),
+}
+
+
+def as_json(kind, fields):
+    """The JSON recipe of ``GeneratorSpec(kind=kind, **fields)``: only two keys are named otherwise."""
+    return {"kind": kind, **{{"labels": "events", "edge_prob": "p"}.get(k, k): v for k, v in fields.items()}}
+
+
+def refusal(call) -> str:
+    with pytest.raises(InputError) as got:
+        call()
+    return str(got.value)
+
+
+# Per recipe field: values GeneratorSpec itself refuses.
+SPEC_REFUSES = {
+    ("explicit", "labels"): [5, "ab", ["a", 1], ["a", ""], [None]],
+    ("explicit", "pairs"): [5, [["a"]], [["a", 1]], [["a", ""]], ["ab"]],
+    ("minkowski", "labels"): [["a", 2]],
+    ("minkowski", "points"): [5, ["00", "11"], [[0, "x"], [1, 1]]],
+    ("sprinkle", "box"): [5, ["01", "01"], [[0, 1], [0]]],
+    ("sprinkle", "seed"): [-1, SEED_SPAN, 7.9, "7"],
+    ("random-dag", "seed"): [1.5, True],
+}
+# Per recipe field: values only the builder refuses, at ``generate``.
+BUILDER_REFUSES = {
+    ("random-dag", "edge_prob"): ["3/2", "x"],
+    ("sprinkle", "box"): [[[0, 1]], [[1, 0], [0, 1]]],
+    ("explicit", "labels"): [[], ["a", "a"]],
+    ("explicit", "pairs"): [[["a", "c"]]],
+}
+
+
+def field_cases(table):
+    return [(kind, field, value) for (kind, field), values in table.items() for value in values]
+
+
+@pytest.mark.parametrize(("kind", "field", "value"), field_cases(SPEC_REFUSES))
+def test_json_and_api_recipes_refuse_a_field_alike(kind, field, value):
+    fields = {**RECIPES[kind], field: value}
+    expected = refusal(lambda: GeneratorSpec(kind=kind, **fields))
+    assert refusal(lambda: generator_spec_from_jsonable(as_json(kind, fields))) == expected
+
+
+@pytest.mark.parametrize(("kind", "field", "value"), field_cases(BUILDER_REFUSES))
+def test_json_and_api_recipes_refuse_at_generate_alike(kind, field, value):
+    fields = {**RECIPES[kind], field: value}
+    expected = refusal(lambda: generate(GeneratorSpec(kind=kind, **fields)))
+    assert refusal(lambda: space_from_jsonable(as_json(kind, fields))) == expected
+
+
+@pytest.mark.parametrize(("kind", "field"), [(kind, field) for kind in RECIPES for field in RECIPES[kind]])
+def test_a_missing_recipe_field_is_asked_for_by_its_spec_name(kind, field):
+    fields = {name: value for name, value in RECIPES[kind].items() if name != field}
+    if field == "labels" and kind != "explicit":  # optional: default labels
+        assert generator_spec_from_jsonable(as_json(kind, fields)) == GeneratorSpec(kind=kind, **fields)
+        return
+    expected = f"{kind} generator needs {field}"
+    assert refusal(lambda: GeneratorSpec(kind=kind, **fields, **{field: None})) == expected
+    assert refusal(lambda: generator_spec_from_jsonable(as_json(kind, fields))) == expected
+
+
+# GeneratorSpec's counts: what ``_check_count`` calls each and its least value, as the
+# builders do.  Not in COUNT_TAKERS: a None count is malformed there, while a None spec
+# field means absent and is asked for.
+SPEC_COUNTS = {
+    ("random-dag", "n"): ("event count", 1),
+    ("sprinkle", "n"): ("event count", 1),
+    ("sprinkle", "dim"): ("sprinkle dimension (time plus space)", 2),
+}
+SPEC_COUNT_CALLS = [
+    lambda value, kind=kind, field=field: GeneratorSpec(kind=kind, **{**RECIPES[kind], field: value})
+    for kind, field in SPEC_COUNTS
+]
+
+
+@pytest.mark.parametrize("value", [1.5, True, "3", "below"])
+@pytest.mark.parametrize(("kind", "field"), SPEC_COUNTS)
+def test_spec_counts_are_refused_as_the_builders_refuse_them(kind, field, value):
+    what, least = SPEC_COUNTS[kind, field]
+    value = least - 1 if value == "below" else value
+    fields = {**RECIPES[kind], field: value}
+    expected = refusal(lambda: _check_count(what, value, least))
+    assert refusal(lambda: GeneratorSpec(kind=kind, **fields)) == expected
+    assert refusal(lambda: generator_spec_from_jsonable(as_json(kind, fields))) == expected
 
 
 # The same events as CHAIN, relabeled: every size check passes, only the labels differ.
@@ -656,6 +750,32 @@ def test_object_takers_refuse_non_objects(taker, value):
         OBJECT_TAKERS[taker](value)
 
 
+# The two predicates, with arguments for which they answer True.
+PREDICATE_CALLS = {
+    verify_coupling: dict(space=CHAIN, omega=IDENTITY, mu=UNIFORM, nu=UNIFORM),
+    is_strictly_monotone: dict(space=CHAIN, timefn=rank_time_function(CHAIN)),
+}
+# Each of their parameters, called with the value there.
+PREDICATE_TAKERS = {
+    f"{func.__name__} {name}": lambda v, func=func, kwargs=kwargs, name=name: func(**{**kwargs, name: v})
+    for func, kwargs in PREDICATE_CALLS.items()
+    for name in kwargs
+}
+
+
+@pytest.mark.parametrize("value", [None, 5, "ab", OTHER_UNIFORM], ids=["None", "int", "str", "other events"])
+@pytest.mark.parametrize("taker", PREDICATE_TAKERS)
+def test_predicates_answer_false_for_anything_on_other_events(taker, value):
+    assert PREDICATE_TAKERS[taker](value) is False
+
+
+@pytest.mark.parametrize("f", [{"a": 1, "b": 2, "c": 3}, rank_time_function(CHAIN)], ids=["mapping", "time function"])
+@pytest.mark.parametrize("mu", [None, 5, "ab", PAIR], ids=["None", "int", "str", "EventSet"])
+def test_integrate_checks_mu_on_both_forms(mu, f):
+    expected = refusal(lambda: _require_same_events(mu))
+    assert refusal(lambda: integrate(mu, f)) == expected
+
+
 # Public parameters no taker table above feeds, each with the reason.
 EXEMPT_PARAMETERS = {
     # Single-object arguments: a value that is not a toolkit object fails at its
@@ -673,12 +793,6 @@ EXEMPT_PARAMETERS = {
         "rank_time_function space", "report_to_jsonable report", "run_suite config", "sample_time_function space",
         "space_to_jsonable space", "time_function space", "timefn_from_jsonable space",
         "timefn_to_jsonable timefn", "uniform_measure events", "upset_masks space",
-    ],
-    # Predicates: they answer False for toolkit objects on other event sets; any
-    # other value fails at its first attribute read, as in a single-object call.
-    "predicate": [
-        "verify_coupling space", "verify_coupling omega", "verify_coupling mu", "verify_coupling nu",
-        "is_strictly_monotone space", "is_strictly_monotone timefn",
     ],
     # What the harness's own samplers are handed: its random generator and its size bound.
     "sampler": [
@@ -699,8 +813,6 @@ EXEMPT_PARAMETERS = {
         "space_to_jsonable relation", "condition4_check half_line", "condition4_check mode",
         "condition5_check mode", "Certificate verdict",
     ],
-    # Checked by the builder ``generate`` passes them to, whose own parameter is fed.
-    "GeneratorSpec count": ["GeneratorSpec n", "GeneratorSpec dim"],
     # Built by ``decide_k_causal`` and ``run_suite``; their fields are results, not input.
     "result record": [
         "Certificate witness", "Certificate violator", "Certificate mu_B", "Certificate nu_kplus_B",
@@ -748,9 +860,11 @@ def test_every_public_parameter_is_fed_or_exempt():
     tables = [
         SEED_TAKERS.values(),
         [call for _, _, call in COUNT_TAKERS.values()],
+        SPEC_COUNT_CALLS,
         SEQUENCE_CALLS.values(),
         LABEL_CALLS.values(),
         OBJECT_TAKERS.values(),
+        PREDICATE_TAKERS.values(),
     ]
     fed = fed_parameters([call for table in tables for call in table])
     exempt = {p for group in EXEMPT_PARAMETERS.values() for p in group}

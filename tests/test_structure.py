@@ -491,6 +491,26 @@ class TestJsonFormats:
                 generator_spec_from_jsonable(bad)
 
 
+    def test_recipes_no_builder_accepts_are_refused_by_the_spec_reader(self):
+        # A count below its least value and an empty label used to pass the reader, and
+        # the spec then failed at every ``generate``.
+        for bad in (
+            {"kind": "random-dag", "n": 0, "p": 0.5, "seed": 0},
+            {"kind": "sprinkle", "n": 3, "dim": 1, "box": [[0, 1]], "seed": 0},
+            {"kind": "explicit", "events": ["a", ""], "pairs": []},
+            {"kind": "explicit", "events": ["a", "b"], "pairs": [["a", ""]]},
+        ):
+            with pytest.raises(InputError):
+                generator_spec_from_jsonable(bad)
+        with pytest.raises(InputError, match="event count must be an integer of at least 1"):
+            GeneratorSpec(kind="random-dag", n=6.5, edge_prob=0.5, seed=1)
+
+    def test_null_is_not_an_absent_key(self):
+        # A spec field of None means absent; in JSON, a null value is refused, not defaulted.
+        with pytest.raises(InputError, match="must not be null"):
+            space_from_jsonable({"kind": "random-dag", "events": None, "n": 2, "p": 0.5, "seed": 0})
+        assert space_from_jsonable({"kind": "random-dag", "n": 2, "p": 0.5, "seed": 0}).events.labels == ("e0", "e1")
+
 def test_find_cycle_pair(chain3, cyclic2):
     assert find_cycle_pair(chain3) is None
     pair = find_cycle_pair(cyclic2)

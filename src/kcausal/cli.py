@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .errors import InputError, KCausalError, NotStablyCausalError
 from .harness import SUITES, TrialConfig, report_to_jsonable, run_suite
-from .measures import measure_from_jsonable
+from .measures import format_rational, measure_from_jsonable
 from .structure import (
     DEFAULT_UPSET_BOUND,
     CausalSpace,
@@ -34,7 +34,6 @@ from .timefunctions import (
     DEFAULT_ENUMERATION_BOUND,
     _sampled_timefns,
     enumerate_time_functions,
-    timefn_to_jsonable,
 )
 from .transport import (
     certificate_to_jsonable,
@@ -92,6 +91,19 @@ def _emit_space(space: CausalSpace, relation: str, path: str | None):
     _write("\n".join(lines) + "\n", path)
 
 
+def _timefn_lines(space: CausalSpace, timefns) -> str:
+    """``json.dumps(timefn_to_jsonable(t), sort_keys=True) + "\\n"`` per time function, each label quoted once.
+
+    Keys go in sorted-label order; rational text needs no JSON escaping, so the bytes are the same.
+    """
+    labels = space.events.labels
+    heads = [(i, json.dumps(labels[i]) + ': "') for i in sorted(range(space.n), key=labels.__getitem__)]
+    return "".join(
+        '{"values": {' + '", '.join([head + format_rational(t.values[i]) for i, head in heads]) + '"}}\n'
+        for t in timefns
+    )
+
+
 def _bug(what: str) -> int:
     print(f"error: {what}; this is a bug, please report the inputs", file=sys.stderr)
     return 3
@@ -131,8 +143,7 @@ def _cmd_timefn(args) -> int:
         timefns = _sampled_timefns(space, args.sample, 0 if args.seed is None else args.seed)
         if args.seed is None:
             raise InputError("--sample requires an explicit --seed")
-    lines = (json.dumps(timefn_to_jsonable(t), sort_keys=True) + "\n" for t in timefns)
-    _write("".join(lines), args.out)
+    _write(_timefn_lines(space, timefns), args.out)
     return 0
 
 

@@ -120,41 +120,52 @@ def _covers(space: CausalSpace) -> list[tuple[int, int]]:
 
 
 def _linear_extensions(space: CausalSpace) -> Iterator[tuple[int, ...]]:
-    # Streams extensions in lexicographic order of event indices, none if the space has a
-    # two-way pair; the first is the greedy minimal-index topological order.  Backtracking
-    # is iterative, so no recursion limit caps the number of events.
+    # Streams extensions in lexicographic order of event indices, none if the space has a two-way pair;
+    # the first is the greedy minimal-index topological order.  Each depth keeps ``(ready, rest, placed)``:
+    # the unplaced events whose covered events are all placed, those of them not yet tried there (lowest
+    # first), and the placed events.  Backtracking pops that stack, so no recursion limit caps the events.
     if not is_stably_causal(space):
         return
     n = space.n
     preds = [0] * n
+    succ: list[list[int]] = [[] for _ in range(n)]
     for i, j in _covers(space):
         preds[j] |= 1 << i
-    order: list[int] = []
-    placed = 0
-    start = 0  # first candidate to try at the current depth
-    while True:
-        for j in range(start, n):
-            if not (placed >> j & 1 or preds[j] & ~placed):
-                order.append(j)
-                placed |= 1 << j
-                start = 0
-                break
-        else:
-            if not order:
-                return
-            j = order.pop()
-            placed ^= 1 << j
-            start = j + 1
+        succ[i].append(j)
+    ready = sum(1 << j for j in range(n) if not preds[j])
+    stack = [(ready, ready, 0)]
+    order = [0] * n
+    while stack:
+        ready, rest, placed = stack[-1]
+        if not rest:
+            stack.pop()
             continue
-        if len(order) == n:
+        bit = rest & -rest
+        depth = len(stack)
+        stack[-1] = (ready, rest ^ bit, placed)
+        order[depth - 1] = j = bit.bit_length() - 1
+        placed |= bit
+        ready ^= bit
+        for k in succ[j]:
+            if not preds[k] & ~placed:
+                ready |= 1 << k
+        if depth < n:
+            stack.append((ready, ready, placed))
+        else:
             yield tuple(order)
-            start = n  # nothing left to place: backtrack
 
 
-def _rank_values(space: CausalSpace, order: tuple[int, ...]) -> TimeFunction:
-    values = [Fraction(0)] * space.n
-    for rank, j in enumerate(order):
-        values[j] = Fraction(rank)
+def _extensions(space: CausalSpace, max_events: int) -> Iterator[tuple[int, ...]]:
+    """The extension stream of a stably causal space of at most ``max_events`` events."""
+    _require_stably_causal(space)
+    _check_bound("extension enumeration", space.n, max_events)
+    return _linear_extensions(space)
+
+
+def _rank_values(space: CausalSpace, order: Iterable[int], ranks: tuple[Fraction, ...]) -> TimeFunction:
+    values: list[Fraction | None] = [None] * space.n
+    for j, rank in zip(order, ranks):
+        values[j] = rank
     return TimeFunction(events=space.events, values=tuple(values))
 
 
@@ -180,7 +191,7 @@ def _ready_order(space: CausalSpace, take: Callable[[list[int]], int]) -> Iterat
 def rank_time_function(space: CausalSpace) -> TimeFunction:
     """Canonical integer-valued time function (first linear extension)."""
     _require_stably_causal(space)
-    return _rank_values(space, tuple(_ready_order(space, lambda ready: 0)))
+    return _rank_values(space, _ready_order(space, lambda ready: 0), tuple(map(Fraction, range(space.n))))
 
 
 def enumerate_time_functions(
@@ -192,9 +203,8 @@ def enumerate_time_functions(
     Complete up to order-isomorphism of value assignments: any time function
     induces the same superlevel sets as one of these.
     """
-    _require_stably_causal(space)
-    _check_bound("extension enumeration", space.n, max_events)
-    return [_rank_values(space, order) for order in _linear_extensions(space)]
+    ranks = tuple(map(Fraction, range(space.n)))
+    return [_rank_values(space, order, ranks) for order in _extensions(space, max_events)]
 
 
 def sample_time_function(space: CausalSpace, seed: int) -> TimeFunction:
@@ -363,14 +373,13 @@ def minguzzi_check(
     On a stably causal space this holds exactly when ``q`` lies in the closed
     causal future of ``p``.
     """
-    _require_stably_causal(space)
-    _check_bound("extension enumeration", space.n, max_events)
+    orders = _extensions(space, max_events)
     i = space.events.index_of(p)
     j = space.events.index_of(q)
     if i == j:
         return True
     pair = (i, j)
-    for order in _linear_extensions(space):
+    for order in orders:
         if next(k for k in order if k in pair) == j:
             return False
     return True

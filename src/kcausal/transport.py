@@ -362,17 +362,17 @@ def _augment(graph, arc_to, arc_cap, level, ptr, source: int, sink: int) -> int:
                 arc_cap[arc] -= bottleneck
                 arc_cap[arc ^ 1] += bottleneck
             return bottleneck
-        advanced = False
-        while ptr[u] < len(graph[u]):
-            arc = graph[u][ptr[u]]
-            v = arc_to[arc]
-            if arc_cap[arc] and level[v] == level[u] + 1:
+        arcs = graph[u]
+        want = level[u] + 1
+        for k in range(ptr[u], len(arcs)):
+            arc = arcs[k]
+            if arc_cap[arc] and level[arc_to[arc]] == want:
+                ptr[u] = k
                 path.append(arc)
-                u = v
-                advanced = True
+                u = arc_to[arc]
                 break
-            ptr[u] += 1
-        if not advanced:
+        else:  # a dead end: no arc from u reaches the next level
+            ptr[u] = len(arcs)
             level[u] = -1
             if not path:
                 return 0

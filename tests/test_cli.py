@@ -10,6 +10,7 @@ from fractions import Fraction
 
 from kcausal import (
     coupling_from_jsonable,
+    enumerate_time_functions,
     measure_from_jsonable,
     random_feasible_pair,
     random_dag_space,
@@ -17,8 +18,10 @@ from kcausal import (
     random_space,
     space_from_jsonable,
     space_to_jsonable,
+    timefn_to_jsonable,
     verify_coupling,
 )
+from kcausal.timefunctions import _sampled_timefns
 
 CHAIN2 = {"events": ["a", "b"], "relation": {"kind": "explicit", "pairs": [["a", "b"]]}}
 CHAIN3 = {
@@ -528,3 +531,47 @@ class TestPairWriter:
         labels = ['quo"te', "back\\slash", "tab\there", "nul\x00bell\x07", "line\nbreak", "日本語", "é", "\U0001f600", "z"]
         pairs = [[labels[i], labels[(3 * i + 1) % len(labels)]] for i in range(len(labels))]
         self.assert_bytes_match(tmp_path, {"events": labels, "relation": {"kind": "explicit", "pairs": pairs}})
+
+
+class TestTimefnWriter:
+    """``timefn`` writes each line from label text quoted once; the bytes must
+    equal ``json.dumps(timefn_to_jsonable(t), sort_keys=True) + "\\n"`` per time function."""
+
+    SPACES = (
+        # Labels that ``json.dumps`` escapes: a quote, a backslash, a tab, and non-ASCII é and U+2028.
+        {
+            "events": ["é", 'a"b', "a\\b", "a\tb", "\u2028"],
+            "relation": {"kind": "explicit", "pairs": [["a\\b", "é"]]},
+        },
+        # Sorted label order ("e10", "e2", "e9") differs from index order.
+        {"events": ["e10", "e9", "e2"], "relation": {"kind": "explicit", "pairs": [["e9", "e10"]]}},
+        {"events": ["solo"], "relation": {"kind": "explicit", "pairs": []}},
+        DIAMOND,
+        {"kind": "random-dag", "n": 7, "p": "1/4", "seed": 3},
+    )
+
+    @staticmethod
+    def dumped(timefns):
+        return "".join(json.dumps(timefn_to_jsonable(t), sort_keys=True) + "\n" for t in timefns)
+
+    def test_enumerate_and_sample_bytes(self, tmp_path):
+        from kcausal import cli
+
+        out = tmp_path / "out.jsonl"
+        for spec in self.SPACES:
+            path = write(tmp_path, "spec.json", spec)
+            space = space_from_jsonable(spec)
+            assert cli.main(["timefn", path, "--enumerate", "--out", str(out)]) == 0
+            assert out.read_bytes() == self.dumped(enumerate_time_functions(space)).encode("utf-8"), spec
+            for count, seed in ((1, 0), (5, 17), (3, 2**64 - 1)):
+                argv = ["timefn", path, "--sample", str(count), "--seed", str(seed), "--out", str(out)]
+                assert cli.main(argv) == 0
+                expected = self.dumped(_sampled_timefns(space, count, seed))
+                assert out.read_bytes() == expected.encode("utf-8"), (spec, count, seed)
+
+    def test_escaped_labels_read_back(self, tmp_path):
+        path = write(tmp_path, "spec.json", self.SPACES[0])
+        result = run_cli("timefn", path, "--sample", "2", "--seed", "9")
+        assert result.returncode == 0
+        for line in result.stdout.splitlines():
+            assert sorted(json.loads(line)["values"]) == sorted(self.SPACES[0]["events"])

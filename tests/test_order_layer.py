@@ -14,7 +14,10 @@ Each oracle below is the earlier implementation, kept as the reference:
 - ``raw_edge_walk``: that Kahn sort over the raw relation's edges, which
   the time functions ran before they walked the order's covering pairs;
 - ``pairwise_is_strictly_monotone``: the loop over every closure pair behind
-  ``is_strictly_monotone`` before it read the covering pairs.
+  ``is_strictly_monotone`` before it read the covering pairs;
+- ``scan_linear_extensions``: the candidate scan over every event index at
+  each depth behind ``_linear_extensions`` before it kept a ready mask per
+  depth.
 
 The oracles take their predecessor masks from ``warshall_closure`` and
 ``pairwise_transpose``, so they share no code with what they check.
@@ -28,7 +31,7 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kcausal import (
@@ -36,9 +39,11 @@ from kcausal import (
     NotStablyCausalError,
     TimeFunction,
     default_labels,
+    enumerate_time_functions,
     explicit_space,
     is_strictly_monotone,
     kplus_closure,
+    minkowski_space,
     random_dag_space,
     rank_time_function,
     sample_time_function,
@@ -170,6 +175,37 @@ def permutation_extensions(space) -> list[tuple[int, ...]]:
     return [order for order in permutations(range(space.n)) if valid(order)]
 
 
+def scan_linear_extensions(space):
+    """Every linear extension in lexicographic order; none if the closure has a two-way pair.
+
+    At each depth it tries every event index from the last one tried, iteratively.
+    """
+    if pairwise_cycle_pair(warshall_closure(space.raw)) is not None:
+        return
+    n = space.n
+    preds = _strict_predecessors(space)
+    order = []
+    placed = 0
+    start = 0  # first candidate to try at the current depth
+    while True:
+        for j in range(start, n):
+            if not (placed >> j & 1 or preds[j] & ~placed):
+                order.append(j)
+                placed |= 1 << j
+                start = 0
+                break
+        else:
+            if not order:
+                return
+            j = order.pop()
+            placed ^= 1 << j
+            start = j + 1
+            continue
+        if len(order) == n:
+            yield tuple(order)
+            start = n  # nothing left to place: backtrack
+
+
 # ---------------------------------------------------------------------------
 # Spaces
 
@@ -193,9 +229,9 @@ def shuffled_dags(draw, max_n=12):
 
 
 @st.composite
-def sprinkles(draw, max_n=12):
+def sprinkles(draw, max_n=12, max_dim=3):
     n = draw(st.integers(1, max_n))
-    dim = draw(st.integers(2, 3))
+    dim = draw(st.integers(2, max_dim))
     return sprinkle_space(n, dim, [(0, 1)] + [(-1, 1)] * (dim - 1), draw(st.integers(0, 2**32 - 1)))
 
 
@@ -208,6 +244,11 @@ def explicit_dags(draw, max_n=10):
     # Orient every edge along ``perm``, so the relation is acyclic whatever the label order.
     pairs = [(perm[min(i, j)], perm[max(i, j)]) for i, j in edges if i != j]
     return explicit_space(default_labels(n), pairs)
+
+
+@st.composite
+def antichains(draw, max_n=7):
+    return explicit_space(default_labels(draw(st.integers(1, max_n))), [])
 
 
 any_space = st.one_of(cyclic_spaces(), shuffled_dags(), sprinkles())
@@ -335,6 +376,36 @@ class TestExtensionsMatchPermutations:
     def test_stream_is_every_valid_permutation_in_order(self, space):
         # A space with a two-way pair has no valid permutation, so the stream is empty there.
         assert list(_linear_extensions(space)) == permutation_extensions(space)
+
+
+class TestExtensionStreamMatchesScan:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            shuffled_dags(max_n=7), sprinkles(max_n=7, max_dim=2), antichains(max_n=7), cyclic_spaces(max_n=7)
+        )
+    )
+    # Events 0 and 1 share a point, so each precedes the other; 2 lies in both futures.
+    @example(minkowski_space([[0, 0], [0, 0], [1, 0]]))
+    def test_same_stream(self, space):
+        stream = list(_linear_extensions(space))
+        assert stream == list(scan_linear_extensions(space))
+        if pairwise_cycle_pair(warshall_closure(space.raw)) is not None:
+            assert stream == []
+
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_antichain_streams_every_permutation(self, n):
+        space = explicit_space(default_labels(n), [])
+        assert list(_linear_extensions(space)) == list(scan_linear_extensions(space)) == list(permutations(range(n)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(shuffled_dags(max_n=7), sprinkles(max_n=7, max_dim=2), antichains(max_n=6)))
+    def test_enumerated_values_are_the_ranks(self, space):
+        # Each value is the Fraction of its event's rank in the extension.
+        expected = [tuple(Fraction(order.index(j)) for j in range(space.n)) for order in scan_linear_extensions(space)]
+        values = [t.values for t in enumerate_time_functions(space)]
+        assert values == expected
+        assert all(type(v) is Fraction for row in values for v in row)
 
 
 class TestMonotoneMatchesAllPairs:

@@ -291,7 +291,7 @@ def random_forward_push(
     The returned measure dominates ``mu`` by construction and the returned
     coupling witnesses it.
     """
-    _require_same_events(space, mu)
+    _require_same_events(space, mu, kinds=(CausalSpace, Measure))
     den, (scaled,) = _scaled(mu.weights)
     rows = space.kplus.rows
     pair_units: dict[tuple[int, int], int] = {}

@@ -60,7 +60,7 @@ class Measure:
         object.__setattr__(self, "weights", _rationals("measure weights", self.weights))
         if len(self.weights) != len(self.events):
             raise InputError("measure needs one weight per event")
-        negatives = [self.events.labels[i] for i, w in enumerate(self.weights) if w < 0]
+        negatives = [self.events.labels[i] for i, w in enumerate(self.weights) if w.numerator < 0]
         if negatives:
             raise InputError(f"negative weight on {_shown(negatives[0])}")
         den, (units,) = self._integer_weights
@@ -116,8 +116,9 @@ def measure_of(mu: Measure, X: Iterable[str]) -> Fraction:
 
 def tv_distance(mu: Measure, nu: Measure) -> Fraction:
     """Total-variation distance, ``(1/2) * sum |mu(p) - nu(p)|``."""
-    _require_same_events(mu, nu)
-    return sum(abs(a - b) for a, b in zip(mu.weights, nu.weights)) / 2
+    _require_same_events(mu, nu, kinds=(Measure, Measure))
+    den, (a, b) = _scaled(mu.weights, nu.weights)
+    return Fraction(sum(abs(x - y) for x, y in zip(a, b)), 2 * den)
 
 
 def _mixture_coefficient(lam) -> Fraction:
@@ -130,8 +131,10 @@ def _mixture_coefficient(lam) -> Fraction:
 def convex_combination(lam, mu: Measure, nu: Measure) -> Measure:
     """Pointwise mixture ``lam * mu + (1 - lam) * nu`` for ``lam`` in [0, 1]."""
     lam = _mixture_coefficient(lam)
-    _require_same_events(mu, nu)
-    weights = tuple(lam * a + (1 - lam) * b for a, b in zip(mu.weights, nu.weights))
+    _require_same_events(mu, nu, kinds=(Measure, Measure))
+    p, q = lam.numerator, lam.denominator
+    den, (a, b) = _scaled(mu.weights, nu.weights)
+    weights = tuple(Fraction(p * x + (q - p) * y, q * den) for x, y in zip(a, b))
     return Measure(events=mu.events, weights=weights)
 
 
@@ -141,9 +144,9 @@ def integrate(mu: Measure, f) -> Fraction:
     ``f`` is either a mapping from every label of ``mu``'s events to a
     rational value, or a time function on ``mu``'s events.
     """
-    _require_same_events(mu)
-    if isinstance(getattr(f, "values", None), tuple):  # a time function
-        _require_same_events(mu, f)
+    _require_same_events(mu, kinds=(Measure,))
+    if isinstance(getattr(f, "values", None), tuple):  # a time function: its kind is this test
+        _require_same_events(mu, f, kinds=(Measure, object))
         values = f.values
     else:
         values = _by_label("integrand", mu.events, f)

@@ -295,9 +295,10 @@ class CausalRelation:
         return CausalRelation(self.n, tuple(cols))
 
 
-def _require_same_events(first, *others):
-    """Refuse spaces, measures, couplings or time functions whose event labels differ from ``first``'s."""
-    if not all(isinstance(getattr(x, "events", None), EventSet) for x in (first, *others)):
+def _require_same_events(first, *others, kinds: tuple[type, ...]):
+    """Refuse arguments not of their ``kinds`` (one class each), or whose event labels differ from ``first``'s."""
+    typed = zip((first, *others), kinds)
+    if not all(isinstance(x, kind) and isinstance(getattr(x, "events", None), EventSet) for x, kind in typed):
         raise InputError("expected spaces, measures, couplings or time functions")
     if any(other.events.labels != first.events.labels for other in others):
         raise InputError("arguments live on different event sets")

@@ -95,7 +95,7 @@ def _require_stably_causal(space: CausalSpace):
 
 def is_strictly_monotone(space: CausalSpace, timefn: TimeFunction) -> bool:
     try:
-        _require_same_events(space, timefn)
+        _require_same_events(space, timefn, kinds=(CausalSpace, TimeFunction))
     except InputError:
         return False
     if not is_stably_causal(space):
@@ -228,7 +228,7 @@ def future_volume_timefn(space: CausalSpace, eta: Measure, lam, y: Iterable[str]
     result is strictly monotone, and ``eta(F(p) & Y) > 0`` exactly when
     ``p`` lies in ``Y``.
     """
-    _require_same_events(space, eta)
+    _require_same_events(space, eta, kinds=(CausalSpace, Measure))
     _require_stably_causal(space)
     if not eta.admissible:
         raise InputError("reference measure must put positive weight on every event")
@@ -305,7 +305,7 @@ def condition4_check(
     """
     if half_line not in ("open", "closed"):
         raise InputError(f"unknown half-line variant: {_shown(half_line)}")
-    _require_same_events(space, mu, nu)
+    _require_same_events(space, mu, nu, kinds=(CausalSpace, Measure, Measure))
     _require_stably_causal(space)
     if mode == "exhaustive":
         _check_bound("extension enumeration", space.n, max_events)
@@ -341,7 +341,7 @@ def condition5_check(
     violating up-set yields a violating perturbed indicator, which exact mode
     constructs and verifies before answering false.
     """
-    _require_same_events(space, mu, nu)
+    _require_same_events(space, mu, nu, kinds=(CausalSpace, Measure, Measure))
     _require_stably_causal(space)
     if mode == "sampled":
         return all(

@@ -69,12 +69,12 @@ class Coupling:
             if (i, j) in seen:
                 raise InputError(f"duplicate coupling entry for pair ({i}, {j})")
             seen.add((i, j))
-            if w <= 0:
+            if w.numerator <= 0:
                 raise InputError(f"coupling entry ({i}, {j}) must carry positive weight")
-        den, (units,) = _scaled([w for _, _, w in entries])
+        object.__setattr__(self, "entries", tuple(sorted(entries)))
+        den, (units,) = self._integer_weights
         if sum(units) != den:
             raise InputError(f"coupling mass is {format_rational(Fraction(sum(units), den))}, expected exactly 1")
-        object.__setattr__(self, "entries", tuple(sorted(entries)))
 
     def weight(self, cause: str, effect: str) -> Fraction:
         i = self.events.index_of(cause)
@@ -85,17 +85,32 @@ class Coupling:
         return Fraction(0)
 
     @cached_property
+    def _integer_weights(self) -> tuple[int, list[list[int]]]:
+        return _scaled([w for _, _, w in self.entries])
+
+    @cached_property
+    def _integer_marginals(self) -> tuple[int, list[int], list[int]]:
+        """The entries' common denominator, and the row and column sums in its units."""
+        den, (units,) = self._integer_weights
+        rows = [0] * len(self.events)
+        cols = rows.copy()
+        for (i, j, _), u in zip(self.entries, units):
+            rows[i] += u
+            cols[j] += u
+        return den, rows, cols
+
+    @cached_property
     def _marginals(self) -> tuple[Measure, Measure]:
-        n = len(self.events)
-        rows = [Fraction(0)] * n
-        cols = [Fraction(0)] * n
-        for i, j, w in self.entries:
-            rows[i] += w
-            cols[j] += w
+        den, rows, cols = self._integer_marginals
         return (
-            Measure(events=self.events, weights=tuple(rows)),
-            Measure(events=self.events, weights=tuple(cols)),
+            Measure(events=self.events, weights=tuple(Fraction(r, den) for r in rows)),
+            Measure(events=self.events, weights=tuple(Fraction(c, den) for c in cols)),
         )
+
+
+def _same_values(a_den: int, a: list[int], b_den: int, b: list[int]) -> bool:
+    """True iff ``a[i] / a_den == b[i] / b_den`` at every index, by cross-multiplying."""
+    return all(x * b_den == y * a_den for x, y in zip(a, b))
 
 
 def coupling(
@@ -122,7 +137,7 @@ def identity_coupling(mu: Measure) -> Coupling:
 
 
 def product_coupling(mu: Measure, nu: Measure) -> Coupling:
-    _require_same_events(mu, nu)
+    _require_same_events(mu, nu, kinds=(Measure, Measure))
     entries = ((i, j, a * b) for i, a in enumerate(mu.weights) if a for j, b in enumerate(nu.weights) if b)
     return Coupling(events=mu.events, entries=entries)
 
@@ -135,11 +150,12 @@ def marginals(omega: Coupling) -> tuple[Measure, Measure]:
 def verify_coupling(space: CausalSpace, omega: Coupling, mu: Measure, nu: Measure) -> bool:
     """True iff the marginals match exactly and all mass sits inside the closure."""
     try:
-        _require_same_events(space, omega, mu, nu)
+        _require_same_events(space, omega, mu, nu, kinds=(CausalSpace, Coupling, Measure, Measure))
     except InputError:
         return False
-    first, second = omega._marginals
-    if first.weights != mu.weights or second.weights != nu.weights:
+    den, first, second = omega._integer_marginals
+    (mu_den, (m,)), (nu_den, (v,)) = mu._integer_weights, nu._integer_weights
+    if not (_same_values(den, first, mu_den, m) and _same_values(den, second, nu_den, v)):
         return False
     rows = space.kplus.rows
     return all(rows[i] >> j & 1 for i, j, _ in omega.entries)
@@ -151,21 +167,24 @@ def compose_couplings(omega1: Coupling, omega2: Coupling) -> Coupling:
     ``weight(p, r) = sum_q w1(p, q) * w2(q, r) / m(q)`` over intermediate
     events with positive mass ``m``; zero-mass intermediates are skipped.
     """
-    _require_same_events(omega1, omega2)
-    middle_out = omega1._marginals[1]
-    middle_in = omega2._marginals[0]
-    if middle_out.weights != middle_in.weights:
+    _require_same_events(omega1, omega2, kinds=(Coupling, Coupling))
+    den1, _, middle = omega1._integer_marginals
+    den2, middle_in, _ = omega2._integer_marginals
+    if not _same_values(den1, middle, den2, middle_in):
         raise InputError("intermediate marginals do not match")
-    by_middle: dict[int, list[tuple[int, Fraction]]] = {}
-    for q, r, w in omega2.entries:
-        by_middle.setdefault(q, []).append((r, w))
-    glued: dict[tuple[int, int], Fraction] = {}
-    for p, q, w1 in omega1.entries:
-        m = middle_out.weights[q]
-        for r, w2 in by_middle.get(q, []):
-            key = (p, r)
-            glued[key] = glued.get(key, Fraction(0)) + w1 * w2 / m
-    return Coupling(events=omega1.events, entries=((p, r, w) for (p, r), w in glued.items() if w))
+    # With w1 = a / den1, w2 = b / den2 and m = c / den1, a term is a * b / (c * den2).  ``_scaled`` of
+    # the reciprocals 1/c gives their common multiple ``scale`` and ``scale / c`` per intermediate event.
+    scale, (per_mass,) = _scaled([Fraction(1, c) if c else Fraction(0) for c in middle])
+    (_, (units1,)), (_, (units2,)) = omega1._integer_weights, omega2._integer_weights
+    by_middle: dict[int, list[tuple[int, int]]] = {}
+    for (q, r, _), b in zip(omega2.entries, units2):
+        by_middle.setdefault(q, []).append((r, b))
+    glued: dict[tuple[int, int], int] = {}
+    for (p, q, _), a in zip(omega1.entries, units1):
+        for r, b in by_middle.get(q, []):
+            glued[(p, r)] = glued.get((p, r), 0) + a * b * per_mass[q]
+    den = scale * den2
+    return Coupling(events=omega1.events, entries=((p, r, Fraction(u, den)) for (p, r), u in glued.items()))
 
 
 def mix_couplings(lam, omega1: Coupling, omega2: Coupling) -> Coupling:
@@ -176,14 +195,16 @@ def mix_couplings(lam, omega1: Coupling, omega2: Coupling) -> Coupling:
     feasibility.
     """
     lam = _mixture_coefficient(lam)
-    _require_same_events(omega1, omega2)
-    mixed: dict[tuple[int, int], Fraction] = {}
-    for i, j, w in omega1.entries:
-        mixed[(i, j)] = lam * w
-    for i, j, w in omega2.entries:
-        key = (i, j)
-        mixed[key] = mixed.get(key, Fraction(0)) + (1 - lam) * w
-    return Coupling(events=omega1.events, entries=((i, j, w) for (i, j), w in mixed.items() if w))
+    _require_same_events(omega1, omega2, kinds=(Coupling, Coupling))
+    p, q = lam.numerator, lam.denominator
+    den, (first, second) = _scaled([w for _, _, w in omega1.entries], [w for _, _, w in omega2.entries])
+    mixed: dict[tuple[int, int], int] = {}
+    for (i, j, _), u in zip(omega1.entries, first):
+        mixed[(i, j)] = p * u
+    for (i, j, _), u in zip(omega2.entries, second):
+        mixed[(i, j)] = mixed.get((i, j), 0) + (q - p) * u
+    den *= q
+    return Coupling(events=omega1.events, entries=((i, j, Fraction(u, den)) for (i, j), u in mixed.items() if u))
 
 
 @dataclass(frozen=True)
@@ -226,7 +247,7 @@ def decide_k_causal(space: CausalSpace, mu: Measure, nu: Measure) -> Certificate
     measures.  Either certificate is checked before it is returned
     (``AssertionError`` if not).
     """
-    _require_same_events(space, mu, nu)
+    _require_same_events(space, mu, nu, kinds=(CausalSpace, Measure, Measure))
     den, (supply, demand) = _scaled(mu.weights, nu.weights)
     support = [i for i in range(space.n) if supply[i] or demand[i]]
     classes, links = _order_links(space.kplus.rows, support)
@@ -395,7 +416,7 @@ def strassen_check(
     lookups in exact integer subset tables whose size is bounded whatever n
     is (``structure.MASK_BLOCK`` entries each).
     """
-    _require_same_events(space, mu, nu)
+    _require_same_events(space, mu, nu, kinds=(CausalSpace, Measure, Measure))
     n = space.n
     _check_bound("subset oracle", n, max_events)
     tables = _SubsetTables(space, (mu.weights, nu.weights))
@@ -438,7 +459,7 @@ def condition2_check(
     full power set: O(2**n) time, as lookups in exact integer subset tables
     whose size is bounded whatever n is (``structure.MASK_BLOCK`` entries each).
     """
-    _require_same_events(space, mu, nu)
+    _require_same_events(space, mu, nu, kinds=(CausalSpace, Measure, Measure))
     _check_bound("subset check", space.n, max_events)
     tables = _SubsetTables(space, (mu.weights, nu.weights))
     m, v = tables.masses
@@ -456,7 +477,7 @@ def condition3_check(
     max_events: int = DEFAULT_UPSET_BOUND,
 ) -> bool:
     """Up-set mass inequality ``mu(X) <= nu(X)`` over all future-closed subsets."""
-    _require_same_events(space, mu, nu)
+    _require_same_events(space, mu, nu, kinds=(CausalSpace, Measure, Measure))
     return _heavier_upset(space, mu, nu, max_events) is None
 
 

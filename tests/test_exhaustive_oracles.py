@@ -39,7 +39,7 @@ from kcausal import (
 )
 from kcausal import structure
 from kcausal.measures import Measure, _require_same_events
-from kcausal.structure import DEFAULT_UPSET_BOUND, _check_bound, _SubsetTables
+from kcausal.structure import DEFAULT_UPSET_BOUND, CausalSpace, _check_bound, _SubsetTables
 from kcausal.timefunctions import TimeFunction, _sampled_timefns
 from kcausal.transport import _heavier_upset
 
@@ -49,7 +49,7 @@ from kcausal.transport import _heavier_upset
 
 
 def oracle_strassen_check(space, mu, nu, max_events=DEFAULT_UPSET_BOUND):
-    _require_same_events(space, mu, nu)
+    _require_same_events(space, mu, nu, kinds=(CausalSpace, Measure, Measure))
     n = space.n
     _check_bound("subset oracle", n, max_events)
     order = sorted(range(n), key=lambda i: space.events.labels[i])
@@ -66,7 +66,7 @@ def oracle_strassen_check(space, mu, nu, max_events=DEFAULT_UPSET_BOUND):
 
 
 def oracle_condition2_check(space, mu, nu, max_events=DEFAULT_UPSET_BOUND):
-    _require_same_events(space, mu, nu)
+    _require_same_events(space, mu, nu, kinds=(CausalSpace, Measure, Measure))
     _check_bound("subset check", space.n, max_events)
     for mask in range(1 << space.n):
         future = space.future_mask(mask)

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import kcausal
 from kcausal import (
     CausalRelation,
+    CausalSpace,
     Coupling,
     EventSet,
     GeneratorSpec,
@@ -449,7 +450,7 @@ EVENT_SET_TAKERS = {
 @pytest.mark.parametrize("taker", EVENT_SET_TAKERS)
 def test_event_set_takers_refuse_other_events_alike(taker):
     with pytest.raises(InputError) as expected:
-        _require_same_events(CHAIN, OTHER)
+        _require_same_events(CHAIN, OTHER, kinds=(CausalSpace, CausalSpace))
     with pytest.raises(InputError) as got:
         EVENT_SET_TAKERS[taker]()
     assert str(got.value) == str(expected.value)
@@ -750,6 +751,28 @@ def test_object_takers_refuse_non_objects(taker, value):
         OBJECT_TAKERS[taker](value)
 
 
+# One toolkit object of each kind, all on CHAIN's events.
+KINDS = {"space": CHAIN, "measure": UNIFORM, "coupling": IDENTITY, "time function": rank_time_function(CHAIN)}
+
+
+def wrong_kinds(calls: dict) -> list[tuple[str, str]]:
+    """``(taker, kind)`` for each object parameter of ``calls`` and each kind other than its argument's."""
+    return [
+        (f"{func.__name__} {name}", kind)
+        for func, kwargs in calls.items()
+        for name, arg in kwargs.items()
+        if hasattr(arg, "events")
+        for kind, value in KINDS.items()
+        if type(value) is not type(arg)
+    ]
+
+
+@pytest.mark.parametrize("taker, kind", wrong_kinds(OBJECT_CALLS))
+def test_object_takers_refuse_other_kinds(taker, kind):
+    with pytest.raises(InputError):
+        OBJECT_TAKERS[taker](KINDS[kind])
+
+
 # The two predicates, with arguments for which they answer True.
 PREDICATE_CALLS = {
     verify_coupling: dict(space=CHAIN, omega=IDENTITY, mu=UNIFORM, nu=UNIFORM),
@@ -769,10 +792,15 @@ def test_predicates_answer_false_for_anything_on_other_events(taker, value):
     assert PREDICATE_TAKERS[taker](value) is False
 
 
+@pytest.mark.parametrize("taker, kind", wrong_kinds(PREDICATE_CALLS))
+def test_predicates_answer_false_for_other_kinds(taker, kind):
+    assert PREDICATE_TAKERS[taker](KINDS[kind]) is False
+
+
 @pytest.mark.parametrize("f", [{"a": 1, "b": 2, "c": 3}, rank_time_function(CHAIN)], ids=["mapping", "time function"])
 @pytest.mark.parametrize("mu", [None, 5, "ab", PAIR], ids=["None", "int", "str", "EventSet"])
 def test_integrate_checks_mu_on_both_forms(mu, f):
-    expected = refusal(lambda: _require_same_events(mu))
+    expected = refusal(lambda: _require_same_events(mu, kinds=(Measure,)))
     assert refusal(lambda: integrate(mu, f)) == expected
 
 

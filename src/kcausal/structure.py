@@ -52,6 +52,10 @@ SPRINKLE_GRID = 10**6
 # Largest event count the exhaustive subset and up-set scans accept.
 DEFAULT_UPSET_BOUND = 20
 
+# Largest event count a generator builds.  A relation holds n**2 bits and cone
+# rows take O(n**2) steps; building at this bound peaks near 0.5 GB (README).
+GENERATOR_EVENT_BOUND = 2**15
+
 # Seeds are unsigned 64-bit integers; derived seeds are drawn below this span.
 SEED_SPAN = 2**64
 
@@ -86,6 +90,13 @@ def _check_seed(seed: int):
 def _check_count(what: str, value, least: int = 1):
     if not _is_integer(value) or value < least:
         raise InputError(f"{what} must be an integer of at least {least}")
+
+
+def _check_event_count(n):
+    """Refuse a generator event count that is not a count, or exceeds ``GENERATOR_EVENT_BOUND``."""
+    _check_count("event count", n)
+    if n > GENERATOR_EVENT_BOUND:
+        raise InputError(f"event count must be at most {GENERATOR_EVENT_BOUND}, got {_shown(n)}")
 
 
 def _check_bound(what: str, n: int, max_events: int):
@@ -250,41 +261,6 @@ class CausalRelation:
         if any(not _is_integer(row) or row < 0 or row >= limit for row in self.rows):
             raise InputError("relation rows must be integer masks that fit the event count")
 
-    def has(self, i: int, j: int) -> bool:
-        return bool(self.rows[i] >> j & 1)
-
-    def pairs(self) -> Iterator[tuple[int, int]]:
-        for i, row in enumerate(self.rows):
-            for j in iter_bits(row):
-                yield i, j
-
-    @cached_property
-    def reflexive(self) -> bool:
-        return all(row >> i & 1 for i, row in enumerate(self.rows))
-
-    @cached_property
-    def transitive(self) -> bool:
-        for row in self.rows:
-            through = 0
-            for j in iter_bits(row):
-                through |= self.rows[j]
-            if through & ~row:
-                return False
-        return True
-
-    @cached_property
-    def _cycle_pair(self) -> tuple[int, int] | None:
-        # The first i with a j != i on both its row and its column; j is the lowest such.
-        for i, (row, col) in enumerate(zip(self.rows, self.transpose.rows)):
-            both = row & col & ~(1 << i)
-            if both:
-                return i, (both & -both).bit_length() - 1
-        return None
-
-    @cached_property
-    def antisymmetric(self) -> bool:
-        return self._cycle_pair is None
-
     @cached_property
     def transpose(self) -> "CausalRelation":
         # Rows lo..lo+ROW_BLOCK, unpacked and flipped, are bits lo..lo+ROW_BLOCK of every column.
@@ -419,6 +395,11 @@ class CausalSpace:
     def is_upset_mask(self, mask: int) -> bool:
         return not (self.future_mask(mask) & ~mask)
 
+    @cached_property
+    def _order(self) -> tuple[list[list[int]], list[list[int]]]:
+        """``_order_links`` of ``kplus`` over every event: the one derivation of classes and covers."""
+        return _order_links(self.kplus.rows, range(self.n))
+
 
 def future_set(space: CausalSpace, X: Iterable[str]) -> frozenset[str]:
     """All events some member of ``X`` precedes (``X`` included, by reflexivity)."""
@@ -524,8 +505,8 @@ def _exact_dtype(bound: int):
 
 
 def find_cycle_pair(space: CausalSpace) -> tuple[str, str] | None:
-    """A pair of distinct events preceding each other, if any."""
-    pair = space.kplus._cycle_pair
+    """Two distinct events preceding each other, if any: the lowest event with another in its class, and the next."""
+    pair = min(((m[0], m[1]) for m in space._order[0] if len(m) > 1), default=None)
     labels = space.events.labels
     return None if pair is None else (labels[pair[0]], labels[pair[1]])
 
@@ -570,7 +551,7 @@ class GeneratorSpec:
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, read(getattr(self, name)))
         if self.n is not None:
-            _check_count("event count", self.n)
+            _check_event_count(self.n)
         if self.dim is not None:
             _check_count("sprinkle dimension (time plus space)", self.dim, least=2)
         if self.seed is not None:
@@ -585,7 +566,7 @@ def _kind_fields(kind) -> tuple[str, ...]:
 
 
 def default_labels(n: int) -> tuple[str, ...]:
-    _check_count("event count", n)
+    _check_event_count(n)
     width = len(str(n - 1))
     return tuple(f"e{i:0{width}d}" for i in range(n))
 
@@ -687,7 +668,7 @@ def sprinkle_space(
     seed: int,
     labels: Sequence[str] | None = None,
 ) -> CausalSpace:
-    _check_count("event count", n)
+    _check_event_count(n)
     _check_count("sprinkle dimension (time plus space)", dim, least=2)
     bounds = _points("sprinkle box", box, 2)
     if len(bounds) != dim:
@@ -709,7 +690,7 @@ def random_dag_space(
     seed: int,
     labels: Sequence[str] | None = None,
 ) -> CausalSpace:
-    _check_count("event count", n)
+    _check_event_count(n)
     p = parse_rational(edge_prob)
     if not 0 <= p <= 1:
         raise InputError("edge probability must lie in [0, 1]")

@@ -30,7 +30,6 @@ from .structure import (
     _check_count,
     _check_seed,
     _mapping,
-    _order_links,
     _rationals,
     _require_same_events,
     _scaled,
@@ -84,7 +83,7 @@ class TimeFunction:
 
 def is_stably_causal(space: CausalSpace) -> bool:
     """True iff the closure is antisymmetric, i.e. admits time functions."""
-    return space.kplus.antisymmetric
+    return find_cycle_pair(space) is None
 
 
 def _require_stably_causal(space: CausalSpace):
@@ -115,7 +114,7 @@ def time_function(space: CausalSpace, values: Mapping[str, object]) -> TimeFunct
 
 def _covers(space: CausalSpace) -> list[tuple[int, int]]:
     # The pairs (i, j) where j covers i in a stably causal space, whose order classes are single events.
-    classes, links = _order_links(space.kplus.rows, range(space.n))
+    classes, links = space._order
     return [(classes[k][0], classes[q][0]) for k, above in enumerate(links) for q in above]
 
 
@@ -308,8 +307,7 @@ def condition4_check(
     _require_same_events(space, mu, nu, kinds=(CausalSpace, Measure, Measure))
     _require_stably_causal(space)
     if mode == "exhaustive":
-        _check_bound("extension enumeration", space.n, max_events)
-        orders: Iterable[Iterable[int]] = _linear_extensions(space)
+        orders: Iterable[Iterable[int]] = _extensions(space, max_events)
     elif mode == "sampled":
         orders = (
             sorted(range(space.n), key=t.values.__getitem__) for t in _sampled_timefns(space, samples, seed)

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
 import random
+import resource
 import subprocess
 import sys
 from fractions import Fraction
@@ -21,6 +23,7 @@ from kcausal import (
     timefn_to_jsonable,
     verify_coupling,
 )
+from kcausal.structure import GENERATOR_EVENT_BOUND, iter_bits
 from kcausal.timefunctions import _sampled_timefns
 
 CHAIN2 = {"events": ["a", "b"], "relation": {"kind": "explicit", "pairs": [["a", "b"]]}}
@@ -285,6 +288,27 @@ class TestGenerate:
             assert result.stderr.count("\n") == 1, result.stderr
             assert "Traceback" not in result.stderr
 
+    def test_recipes_too_big_to_build_exit_two_with_one_line(self, tmp_path):
+        # Under its own 1 GiB address-space limit: without the bound, each of these builds
+        # labels until MemoryError (exit 3) rather than taking the machine's memory.
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+        for n in (GENERATOR_EVENT_BOUND + 1, 10**11, 2**64):
+            for recipe in (
+                {"kind": "random-dag", "n": n, "p": 0.5, "seed": 0},
+                {"kind": "sprinkle", "n": n, "dim": 2, "box": [[0, 1], [-1, 1]], "seed": 0},
+            ):
+                result = subprocess.run(
+                    [sys.executable, "-m", "kcausal", "generate", write(tmp_path, "spec.json", recipe)],
+                    capture_output=True,
+                    text=True,
+                    env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+                    preexec_fn=limit,
+                )
+                assert result.returncode == 2, recipe
+                assert result.stderr == f"error: event count must be at most {GENERATOR_EVENT_BOUND}, got {n}\n"
+
 
 class TestVerify:
     def test_single_suite(self, tmp_path):
@@ -467,7 +491,7 @@ class TestPairWriter:
         # writer's label order: every pair, then one sort of the label pairs.
         rel = space.raw if relation == "raw" else space.kplus
         labels = space.events.labels
-        pairs = sorted([labels[i], labels[j]] for i, j in rel.pairs())
+        pairs = sorted([labels[i], labels[j]] for i, row in enumerate(rel.rows) for j in iter_bits(row))
         obj = {"events": list(labels), "relation": {"kind": "explicit", "pairs": pairs}}
         assert space_to_jsonable(space, relation) == obj
         return json.dumps(obj, indent=2, sort_keys=True) + "\n"

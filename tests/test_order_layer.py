@@ -6,8 +6,8 @@ Each oracle below is the earlier implementation, kept as the reference:
   ``kplus_closure`` ran before the SCC-condensation closure;
 - ``pairwise_transpose``: the bit-by-bit transpose behind
   ``CausalRelation.transpose`` before it packed columns with numpy;
-- ``pairwise_cycle_pair``: the row-by-row scan behind
-  ``CausalRelation._cycle_pair`` before it read the transpose;
+- ``pairwise_cycle_pair``: the row-by-row scan behind the cycle pair
+  before it read the transpose, and then the order classes;
 - ``scan_order`` and ``scan_sample_values``: the O(n^2) ready scans of
   ``rank_time_function`` and ``sample_time_function`` before both became
   ready-set (Kahn) sorts over the raw relation;
@@ -36,20 +36,27 @@ from hypothesis import strategies as st
 
 from kcausal import (
     CausalRelation,
+    CausalSpace,
+    EventSet,
     NotStablyCausalError,
     TimeFunction,
+    condition4_check,
     default_labels,
     enumerate_time_functions,
     explicit_space,
+    is_stably_causal,
     is_strictly_monotone,
     kplus_closure,
+    minguzzi_check,
     minkowski_space,
     random_dag_space,
     rank_time_function,
     sample_time_function,
     sprinkle_space,
+    uniform_measure,
 )
-from kcausal.structure import iter_bits
+from kcausal import structure, timefunctions, transport
+from kcausal.structure import find_cycle_pair, iter_bits
 from kcausal.timefunctions import _linear_extensions
 
 
@@ -277,12 +284,15 @@ class TestClosureMatchesWarshall:
 
 
 class TestTransposeAndCyclePair:
+    """Transposes of raw and closed relations; the cycle pair, a question about the closed order, of the closure."""
+
     @settings(max_examples=300, deadline=None)
     @given(any_space)
     def test_random_spaces(self, space):
         for rel in (space.raw, space.kplus):
             assert rel.transpose.rows == pairwise_transpose(rel)
-            assert rel._cycle_pair == pairwise_cycle_pair(rel)
+        assert find_cycle_pair(space) == _labelled(space, pairwise_cycle_pair(warshall_closure(space.raw)))
+        assert is_stably_causal(space) == (find_cycle_pair(space) is None)
 
     @pytest.mark.parametrize("n", [1, 7, 8, 9, 255, 256, 257, 513])
     def test_across_byte_and_block_boundaries(self, n):
@@ -291,9 +301,17 @@ class TestTransposeAndCyclePair:
             rows = tuple(
                 rng.getrandbits(n) & rng.getrandbits(n) if density > 1 else rng.getrandbits(n) for _ in range(n)
             )
-            rel = CausalRelation(n, rows)
-            assert rel.transpose.rows == pairwise_transpose(rel)
-            assert rel._cycle_pair == pairwise_cycle_pair(rel)
+            # Only bits above the diagonal, with one edge back from k to 3 for every k in ks: the
+            # closure has nontrivial classes of a few events among many singletons.
+            ks = {rng.randrange(4, n) for _ in range(3)} if n > 4 else set()
+            upper = tuple(row & ~((2 << i) - 1) | (8 if i in ks else 0) for i, row in enumerate(rows))
+            for raw in (CausalRelation(n, rows), CausalRelation(n, upper)):
+                space = CausalSpace.from_raw(EventSet(default_labels(n)), raw)
+                for rel in (space.raw, space.kplus):
+                    assert rel.transpose.rows == pairwise_transpose(rel)
+                closed = warshall_closure(raw)
+                assert space.kplus.rows == closed.rows
+                assert find_cycle_pair(space) == _labelled(space, pairwise_cycle_pair(closed))
 
     def test_one_hot_bits_land_in_the_right_column(self):
         n = 513
@@ -301,6 +319,32 @@ class TestTransposeAndCyclePair:
         cols = CausalRelation(n, rows).transpose.rows
         assert all(cols[(7 * i + 3) % n] >> i & 1 for i in range(n))
         assert sum(col.bit_count() for col in cols) == n
+
+
+class TestOneOrderDerivation:
+    def test_time_functions_share_one_derivation(self, monkeypatch):
+        original = structure._order_links
+        full = []
+
+        def counted(rows, members):
+            if sorted(members) == list(range(len(rows))):
+                full.append(rows)
+            return original(rows, members)
+
+        for home in (structure, timefunctions, transport):  # every module that binds the name
+            if getattr(home, "_order_links", None) is original:
+                monkeypatch.setattr(home, "_order_links", counted)
+        space = random_dag_space(8, 0.3, 4)
+        labels = space.events.labels
+        mu = uniform_measure(space.events)
+        assert is_stably_causal(space)
+        assert is_strictly_monotone(space, rank_time_function(space))
+        assert is_strictly_monotone(space, sample_time_function(space, 5))
+        assert len(enumerate_time_functions(space)) > 1
+        assert condition4_check(space, mu, mu)
+        assert minguzzi_check(space, labels[0], labels[-1]) == bool(space.kplus.rows[0] >> 7 & 1)
+        assert full == [space.kplus.rows]
+        assert "transpose" not in vars(space.kplus) and "transpose" not in vars(space.raw)
 
 
 class TestNoRecursionLimit:

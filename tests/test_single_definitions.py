@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import functools
 import importlib
 import inspect
 import random
@@ -79,8 +80,10 @@ from kcausal import (
 from kcausal.cli import _build_parser
 from kcausal.structure import (
     DEFAULT_UPSET_BOUND,
+    GENERATOR_EVENT_BOUND,
     SEED_SPAN,
     _check_count,
+    _check_event_count,
     _check_seed,
     _require_same_events,
     parse_rational,
@@ -232,6 +235,25 @@ def test_only_structure_reads_the_raw_relation():
     assert users == {"structure.py"}
 
 
+def test_one_place_derives_the_order_of_every_event():
+    # ``_order_links`` over ``range(...)`` (every event) runs only in the cached ``CausalSpace._order``;
+    # ``decide_k_causal`` calls it over the measures' support, which is the other allowed form.
+    package = Path(kcausal.__file__).resolve().parent
+    sites = []
+    for path in package.glob("*.py"):
+        for owner in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(owner, ast.FunctionDef):
+                continue
+            for node in ast.walk(owner):
+                name = isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name == "_order_links":
+                    members = [*node.args[1:2], *(k.value for k in node.keywords if k.arg == "members")]
+                    if any(isinstance(m, ast.Call) and getattr(m.func, "id", None) == "range" for m in members):
+                        sites.append((path.name, owner.name))
+    assert sites == [("structure.py", "_order")]
+    assert isinstance(inspect.getattr_static(CausalSpace, "_order"), functools.cached_property)
+
+
 CHAIN = explicit_space(["a", "b", "c"], [("a", "b"), ("b", "c")])
 UNIFORM = uniform_measure(CHAIN.events)
 
@@ -270,8 +292,13 @@ def test_seed_takers_reject_seeds_outside_the_span_alike(taker, seed):
         lambda: CHAIN.events.index_of(10**5000),
         lambda: GeneratorSpec(kind=10**5000),
         lambda: parse_rational([10**5000]),
+        lambda: GeneratorSpec(kind="random-dag", n=10**5000, edge_prob=0.5, seed=0),
+        lambda: default_labels(10**5000),
     ],
-    ids=["negative int", "GeneratorSpec", "Fraction", "index_of", "GeneratorSpec kind", "parse_rational"],
+    ids=[
+        "negative int", "GeneratorSpec", "Fraction", "index_of", "GeneratorSpec kind", "parse_rational",
+        "GeneratorSpec n", "default_labels",
+    ],
 )
 def test_values_too_long_to_print_are_input_errors(call):
     with pytest.raises(InputError, match="too long to print"):
@@ -326,6 +353,39 @@ def test_count_takers_reject_non_counts_alike(taker, value):
     with pytest.raises(InputError) as got:
         call(value)
     assert str(got.value) == str(expected.value)
+
+
+# Every entry point that builds events from a count, called with that count.
+EVENT_COUNT_TAKERS = {
+    "GeneratorSpec sprinkle": lambda n: GeneratorSpec(kind="sprinkle", n=n, dim=2, box=BOX, seed=0),
+    "GeneratorSpec random-dag": lambda n: GeneratorSpec(kind="random-dag", n=n, edge_prob=0.5, seed=0),
+    "sprinkle recipe": lambda n: space_from_jsonable({"kind": "sprinkle", "n": n, "dim": 2, "box": BOX, "seed": 0}),
+    "random-dag recipe": lambda n: space_from_jsonable({"kind": "random-dag", "n": n, "p": 0.5, "seed": 0}),
+    "sprinkle_space": lambda n: sprinkle_space(n, 2, BOX, 0),
+    "random_dag_space": lambda n: random_dag_space(n, 0.5, 0),
+    "default_labels": default_labels,
+    "minkowski_space": lambda n: minkowski_space([[0, 0]] * n),
+}
+
+
+@pytest.mark.parametrize("taker", EVENT_COUNT_TAKERS)
+def test_event_count_takers_read_the_one_generator_bound(taker, monkeypatch):
+    # A bound of 3 stands in for GENERATOR_EVENT_BOUND, so a taker that skips the check builds 4 events, not 2**15.
+    monkeypatch.setattr(module("structure"), "GENERATOR_EVENT_BOUND", 3)
+    EVENT_COUNT_TAKERS[taker](3)
+    expected = refusal(lambda: _check_event_count(4))
+    assert expected == "event count must be at most 3, got 4"
+    assert refusal(lambda: EVENT_COUNT_TAKERS[taker](4)) == expected
+
+
+def test_generator_bound_is_well_above_the_largest_benchmark_space():
+    # The largest benchmark size is 4000 events; README records the peak memory measured
+    # at 4000, 8000, 16000 and at the bound.
+    assert GENERATOR_EVENT_BOUND > 4 * 4000
+    assert _check_event_count(GENERATOR_EVENT_BOUND) is None
+    assert refusal(lambda: _check_event_count(GENERATOR_EVENT_BOUND + 1)) == (
+        f"event count must be at most {GENERATOR_EVENT_BOUND}, got {GENERATOR_EVENT_BOUND + 1}"
+    )
 
 
 # One recipe per generator kind that builds, as GeneratorSpec fields.

@@ -23,6 +23,7 @@ from kcausal import (
     future_set,
     generate,
     generator_spec_from_jsonable,
+    is_stably_causal,
     is_upset,
     kplus_closure,
     lemma_complement_check,
@@ -37,10 +38,30 @@ from kcausal import (
 from kcausal.structure import _KINDS, ROW_BLOCK, SPRINKLE_GRID, _cone_rows, find_cycle_pair, iter_bits
 
 
+def has(rel: CausalRelation, i: int, j: int) -> bool:
+    return bool(rel.rows[i] >> j & 1)
+
+
+def pairs(rel: CausalRelation):
+    return ((i, j) for i, row in enumerate(rel.rows) for j in iter_bits(row))
+
+
+def is_reflexive(rel: CausalRelation) -> bool:
+    return all(has(rel, i, i) for i in range(rel.n))
+
+
+def is_transitive(rel: CausalRelation) -> bool:
+    return all(has(rel, i, k) for i, j in pairs(rel) for k in iter_bits(rel.rows[j]))
+
+
+def is_antisymmetric(rel: CausalRelation) -> bool:
+    return not any(i != j and has(rel, j, i) for i, j in pairs(rel))
+
+
 def pair_set(space, relation="kplus"):
     rel = space.kplus if relation == "kplus" else space.raw
     labels = space.events.labels
-    return {(labels[i], labels[j]) for i, j in rel.pairs()}
+    return {(labels[i], labels[j]) for i, j in pairs(rel)}
 
 
 @st.composite
@@ -54,7 +75,7 @@ def matmul_closure(rel: CausalRelation) -> CausalRelation:
     # Independent oracle: reflexive-transitive closure by boolean matrix
     # powering until fixpoint.
     m = np.zeros((rel.n, rel.n), dtype=np.uint8)
-    for i, j in rel.pairs():
+    for i, j in pairs(rel):
         m[i, j] = 1
     np.fill_diagonal(m, 1)
     while True:
@@ -91,28 +112,16 @@ class TestClosure:
     @given(relations())
     def test_reflexive_transitive_and_contains_raw(self, rel):
         closed = kplus_closure(rel)
-        assert closed.reflexive
-        assert closed.transitive
+        assert is_reflexive(closed)
+        assert is_transitive(closed)
         assert all(closed.rows[i] & rel.rows[i] == rel.rows[i] for i in range(rel.n))
-        # direct triple check, not the cached flag
-        for i in range(rel.n):
-            for j in iter_bits(closed.rows[i]):
-                for k in iter_bits(closed.rows[j]):
-                    assert closed.has(i, k)
 
 
 class TestRelationFlags:
-    def test_flags_agree_with_recomputation(self, diamond):
-        rel = diamond.kplus
-        n = rel.n
-        assert rel.reflexive == all(rel.has(i, i) for i in range(n))
-        assert rel.antisymmetric == all(
-            not (rel.has(i, j) and rel.has(j, i))
-            for i in range(n)
-            for j in range(n)
-            if i != j
-        )
-        assert rel.transitive
+    def test_stability_agrees_with_pairwise_antisymmetry(self, diamond, cyclic2):
+        for space in (diamond, cyclic2):
+            assert is_stably_causal(space) == is_antisymmetric(space.kplus) == (find_cycle_pair(space) is None)
+        assert is_reflexive(diamond.kplus) and is_transitive(diamond.kplus)
 
     def test_transpose_involution(self, diamond):
         rel = diamond.kplus
@@ -261,8 +270,8 @@ class TestMinkowski:
             dim = rng.choice([2, 3])
             box = [[0, 1], [-1, 1], [0, 2]][:dim]
             space = sprinkle_space(n=8, dim=dim, box=box, seed=rng.randrange(2**32))
-            assert space.raw.transitive
-            assert space.raw.antisymmetric
+            assert is_transitive(space.raw)
+            assert is_antisymmetric(space.raw)
 
     def test_big_coordinate_fallback_agrees_with_vectorized_path(self):
         rng = random.Random(17)
@@ -375,7 +384,8 @@ class TestSprinkle:
     def test_closure_is_stably_causal(self):
         for seed in range(10):
             space = sprinkle_space(n=20, dim=2, box=[[0, 1], [-1, 1]], seed=seed)
-            assert space.kplus.antisymmetric
+            assert is_antisymmetric(space.kplus)
+            assert is_stably_causal(space)
 
 
 class TestRandomDag:
@@ -383,12 +393,14 @@ class TestRandomDag:
         a = random_dag_space(n=10, edge_prob=0.4, seed=9)
         b = random_dag_space(n=10, edge_prob=0.4, seed=9)
         assert a.raw.rows == b.raw.rows
-        for i, j in a.raw.pairs():
+        for i, j in pairs(a.raw):
             assert i < j
 
     def test_closure_antisymmetric(self):
         for seed in range(10):
-            assert random_dag_space(n=9, edge_prob=0.6, seed=seed).kplus.antisymmetric
+            space = random_dag_space(n=9, edge_prob=0.6, seed=seed)
+            assert is_antisymmetric(space.kplus)
+            assert is_stably_causal(space)
 
     def test_edge_prob_validation(self):
         with pytest.raises(InputError):
@@ -463,7 +475,7 @@ class TestJsonFormats:
         )
         assert sprinkled.n == 10
         cone = space_from_jsonable({"kind": "minkowski", "points": [[0, 0], [1, 0.5]]})
-        assert cone.raw.has(0, 1)
+        assert has(cone.raw, 0, 1)
 
     def test_malformed_specs_rejected(self):
         for bad in (

@@ -94,20 +94,13 @@ def _emit_space(space: CausalSpace, relation: str, path: str | None):
 def _timefn_lines(space: CausalSpace, timefns) -> str:
     """``json.dumps(timefn_to_jsonable(t), sort_keys=True) + "\\n"`` per time function, each label quoted once.
 
-    Keys go in sorted-label order; rational text needs no JSON escaping, so the bytes are the same.  Each
-    distinct value is formatted once (``enumerate_time_functions`` shares one tuple of rank values).  Texts
-    are keyed by ``id``, as hashing a ``Fraction`` costs more than formatting it; each entry keeps its value
-    alive, so no id is reused within the call.
+    Keys go in sorted-label order; rational text needs no JSON escaping, so the bytes are the same.
     """
     labels = space.events.labels
     heads = [(i, json.dumps(labels[i]) + ': "') for i in sorted(range(space.n), key=labels.__getitem__)]
-    texts = {}
     lines = []
     for t in timefns:
-        for v in t.values:
-            if id(v) not in texts:
-                texts[id(v)] = v, format_rational(v)
-        lines.append('{"values": {' + '", '.join([head + texts[id(t.values[i])][1] for i, head in heads]) + '"}}\n')
+        lines.append('{"values": {' + '", '.join([head + format_rational(t.values[i]) for i, head in heads]) + '"}}\n')
     return "".join(lines)
 
 

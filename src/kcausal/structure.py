@@ -261,15 +261,6 @@ class CausalRelation:
         if any(not _is_integer(row) or row < 0 or row >= limit for row in self.rows):
             raise InputError("relation rows must be integer masks that fit the event count")
 
-    @cached_property
-    def transpose(self) -> "CausalRelation":
-        # Rows lo..lo+ROW_BLOCK, unpacked and flipped, are bits lo..lo+ROW_BLOCK of every column.
-        cols = [0] * self.n
-        for lo in range(0, self.n, ROW_BLOCK):
-            for j, part in enumerate(_packed_rows(_unpacked(self.rows[lo : lo + ROW_BLOCK], self.n).T)):
-                cols[j] |= part << lo
-        return CausalRelation(self.n, tuple(cols))
-
 
 def _require_same_events(first, *others, kinds: tuple[type, ...]):
     """Refuse arguments not of their ``kinds`` (one class each), or whose event labels differ from ``first``'s."""
@@ -386,11 +377,7 @@ class CausalSpace:
         return out
 
     def past_mask(self, mask: int) -> int:
-        cols = self.kplus.transpose.rows
-        out = 0
-        for j in iter_bits(mask):
-            out |= cols[j]
-        return out
+        return sum(1 << i for i, row in enumerate(self.kplus.rows) if row & mask)
 
     def is_upset_mask(self, mask: int) -> bool:
         return not (self.future_mask(mask) & ~mask)

@@ -76,14 +76,6 @@ class Coupling:
         if sum(units) != den:
             raise InputError(f"coupling mass is {format_rational(Fraction(sum(units), den))}, expected exactly 1")
 
-    def weight(self, cause: str, effect: str) -> Fraction:
-        i = self.events.index_of(cause)
-        j = self.events.index_of(effect)
-        for a, b, w in self.entries:
-            if (a, b) == (i, j):
-                return w
-        return Fraction(0)
-
     @cached_property
     def _integer_weights(self) -> tuple[int, list[list[int]]]:
         return _scaled([w for _, _, w in self.entries])
@@ -98,14 +90,6 @@ class Coupling:
             rows[i] += u
             cols[j] += u
         return den, rows, cols
-
-    @cached_property
-    def _marginals(self) -> tuple[Measure, Measure]:
-        den, rows, cols = self._integer_marginals
-        return (
-            Measure(events=self.events, weights=tuple(Fraction(r, den) for r in rows)),
-            Measure(events=self.events, weights=tuple(Fraction(c, den) for c in cols)),
-        )
 
 
 def _same_values(a_den: int, a: list[int], b_den: int, b: list[int]) -> bool:
@@ -124,11 +108,13 @@ def coupling(
     pairs = zip(_sequence("coupling pairs", weights.keys(), 2), weights.values())
     entries = ((events.index_of(c), events.index_of(e), parse_rational(w)) for (c, e), w in pairs)
     omega = Coupling(events=events, entries=((i, j, w) for i, j, w in entries if w))
-    first, second = omega._marginals
-    if mu is not None and first.weights != mu.weights:
-        raise InputError("first marginal does not match the declared measure")
-    if nu is not None and second.weights != nu.weights:
-        raise InputError("second marginal does not match the declared measure")
+    den, *sums = omega._integer_marginals
+    for which, declared, units in zip(("first", "second"), (mu, nu), sums):
+        if declared is not None:
+            _require_same_events(omega, declared, kinds=(Coupling, Measure))
+            declared_den, (weights,) = declared._integer_weights
+            if not _same_values(den, units, declared_den, weights):
+                raise InputError(f"{which} marginal does not match the declared measure")
     return omega
 
 
@@ -144,7 +130,11 @@ def product_coupling(mu: Measure, nu: Measure) -> Coupling:
 
 def marginals(omega: Coupling) -> tuple[Measure, Measure]:
     """Row-sum and column-sum measures of a coupling."""
-    return omega._marginals
+    den, rows, cols = omega._integer_marginals
+    return (
+        Measure(events=omega.events, weights=tuple(Fraction(r, den) for r in rows)),
+        Measure(events=omega.events, weights=tuple(Fraction(c, den) for c in cols)),
+    )
 
 
 def verify_coupling(space: CausalSpace, omega: Coupling, mu: Measure, nu: Measure) -> bool:
@@ -421,7 +411,7 @@ def strassen_check(
     _check_bound("subset oracle", n, max_events)
     tables = _SubsetTables(space, (mu.weights, nu.weights))
     m, v = tables.masses
-    past = tables.table(space.kplus.transpose.rows, np.bitwise_or)
+    past = tables.table([space.past_mask(1 << j) for j in range(n)], np.bitwise_or)
     # With event i counted as bit n-1-rank(label i) of a mask's ranked form,
     # the first subset of a size in label-lexicographic order is the one with
     # the largest ranked form, so the first violator has the least

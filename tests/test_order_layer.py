@@ -5,7 +5,8 @@ Each oracle below is the earlier implementation, kept as the reference:
 - ``warshall_closure``: Warshall's closure over bit-packed rows, which
   ``kplus_closure`` ran before the SCC-condensation closure;
 - ``pairwise_transpose``: the bit-by-bit transpose behind
-  ``CausalRelation.transpose`` before it packed columns with numpy;
+  ``CausalRelation.transpose`` before it packed columns with numpy; pasts
+  now read the closure rows, and the closure's columns are their reference;
 - ``pairwise_cycle_pair``: the row-by-row scan behind the cycle pair
   before it read the transpose, and then the order classes;
 - ``scan_order`` and ``scan_sample_values``: the O(n^2) ready scans of
@@ -267,7 +268,7 @@ def _labelled(space, pair):
 
 
 # ---------------------------------------------------------------------------
-# Closure, transpose and cycle pair
+# Closure, pasts and cycle pair
 
 
 class TestClosureMatchesWarshall:
@@ -283,14 +284,25 @@ class TestClosureMatchesWarshall:
         assert space.kplus.rows == warshall_closure(space.raw).rows
 
 
-class TestTransposeAndCyclePair:
-    """Transposes of raw and closed relations; the cycle pair, a question about the closed order, of the closure."""
+def assert_pasts_are_columns(space, masks):
+    """The past of each event, and of each of ``masks``, is read off the closure's columns."""
+    cols = pairwise_transpose(warshall_closure(space.raw))
+    assert tuple(space.past_mask(1 << j) for j in range(space.n)) == cols
+    for mask in masks:
+        expected = 0
+        for j in iter_bits(mask):
+            expected |= cols[j]
+        assert space.past_mask(mask) == expected
+
+
+class TestPastsAndCyclePair:
+    """Pasts in the closed order; the cycle pair, a question about the closed order, of the closure."""
 
     @settings(max_examples=300, deadline=None)
-    @given(any_space)
-    def test_random_spaces(self, space):
-        for rel in (space.raw, space.kplus):
-            assert rel.transpose.rows == pairwise_transpose(rel)
+    @given(any_space, st.data())
+    def test_random_spaces(self, space, data):
+        masks = data.draw(st.lists(st.integers(min_value=0, max_value=(1 << space.n) - 1), max_size=4))
+        assert_pasts_are_columns(space, masks)
         assert find_cycle_pair(space) == _labelled(space, pairwise_cycle_pair(warshall_closure(space.raw)))
         assert is_stably_causal(space) == (find_cycle_pair(space) is None)
 
@@ -307,18 +319,21 @@ class TestTransposeAndCyclePair:
             upper = tuple(row & ~((2 << i) - 1) | (8 if i in ks else 0) for i, row in enumerate(rows))
             for raw in (CausalRelation(n, rows), CausalRelation(n, upper)):
                 space = CausalSpace.from_raw(EventSet(default_labels(n)), raw)
-                for rel in (space.raw, space.kplus):
-                    assert rel.transpose.rows == pairwise_transpose(rel)
+                assert_pasts_are_columns(space, [rng.getrandbits(n) for _ in range(4)])
                 closed = warshall_closure(raw)
                 assert space.kplus.rows == closed.rows
                 assert find_cycle_pair(space) == _labelled(space, pairwise_cycle_pair(closed))
 
-    def test_one_hot_bits_land_in_the_right_column(self):
+    def test_one_hot_bits_land_in_the_right_past(self):
+        # Event i < 256 precedes event 256 + (7i + 3) % 257 and nothing else, so the closure adds only the
+        # diagonal: each target's past is itself and its one source, across byte and block boundaries.
         n = 513
-        rows = tuple(1 << ((7 * i + 3) % n) for i in range(n))
-        cols = CausalRelation(n, rows).transpose.rows
-        assert all(cols[(7 * i + 3) % n] >> i & 1 for i in range(n))
-        assert sum(col.bit_count() for col in cols) == n
+        target = [256 + (7 * i + 3) % 257 for i in range(256)]
+        raw = CausalRelation(n, tuple(1 << t for t in target) + (0,) * 257)
+        space = CausalSpace.from_raw(EventSet(default_labels(n)), raw)
+        assert all(space.past_mask(1 << t) == 1 << i | 1 << t for i, t in enumerate(target))
+        assert all(space.past_mask(1 << j) == 1 << j for j in set(range(n)) - set(target))
+        assert space.past_mask((1 << n) - 1).bit_count() == n
 
 
 class TestOneOrderDerivation:
@@ -344,7 +359,6 @@ class TestOneOrderDerivation:
         assert condition4_check(space, mu, mu)
         assert minguzzi_check(space, labels[0], labels[-1]) == bool(space.kplus.rows[0] >> 7 & 1)
         assert full == [space.kplus.rows]
-        assert "transpose" not in vars(space.kplus) and "transpose" not in vars(space.raw)
 
 
 class TestNoRecursionLimit:

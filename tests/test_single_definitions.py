@@ -254,6 +254,19 @@ def test_one_place_derives_the_order_of_every_event():
     assert isinstance(inspect.getattr_static(CausalSpace, "_order"), functools.cached_property)
 
 
+def test_a_relation_is_its_rows():
+    # Pasts read the closure rows: no module defines or reads a ``transpose``, and a relation caches nothing.
+    package = Path(kcausal.__file__).resolve().parent
+    sites = []
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = getattr(node, "attr", None) or getattr(node, "id", None) or getattr(node, "name", None)
+            if name == "transpose":
+                sites.append((path.name, node.lineno))
+    assert sites == []
+    assert not [name for name, value in vars(CausalRelation).items() if isinstance(value, functools.cached_property)]
+
+
 CHAIN = explicit_space(["a", "b", "c"], [("a", "b"), ("b", "c")])
 UNIFORM = uniform_measure(CHAIN.events)
 
@@ -864,6 +877,26 @@ def test_integrate_checks_mu_on_both_forms(mu, f):
     assert refusal(lambda: integrate(mu, f)) == expected
 
 
+# ``coupling``'s declared marginals, where ``None`` means "not declared".
+IDENTITY_WEIGHTS = {(label, label): Fraction(1, 3) for label in CHAIN.events.labels}
+DECLARED_MARGINALS = {
+    f"coupling {name}": lambda v, name=name: coupling(CHAIN.events, IDENTITY_WEIGHTS, **{name: v})
+    for name in ("mu", "nu")
+}
+# Values that are not a measure on CHAIN's events.
+NOT_MARGINALS = {"int": 5, "str": "ab", "EventSet": PAIR, "other events": OTHER_UNIFORM}
+NOT_MARGINALS.update((kind, value) for kind, value in KINDS.items() if kind != "measure")
+
+
+@pytest.mark.parametrize("kind", NOT_MARGINALS)
+@pytest.mark.parametrize("taker", DECLARED_MARGINALS)
+def test_declared_marginals_are_checked_like_objects(taker, kind):
+    value = NOT_MARGINALS[kind]
+    expected = refusal(lambda: _require_same_events(IDENTITY, value, kinds=(Coupling, Measure)))
+    assert refusal(lambda: DECLARED_MARGINALS[taker](value)) == expected
+    assert DECLARED_MARGINALS[taker](UNIFORM) == DECLARED_MARGINALS[taker](None) == IDENTITY
+
+
 # Public parameters no taker table above feeds, each with the reason.
 EXEMPT_PARAMETERS = {
     # Single-object arguments: a value that is not a toolkit object fails at its
@@ -872,8 +905,8 @@ EXEMPT_PARAMETERS = {
     "single object": [
         "CausalSpace events", "CausalSpace raw", "CausalSpace kplus", "Coupling events", "Measure events",
         "TimeFunction events", "TrialReport config", "certificate_to_jsonable cert", "coupling events",
-        "coupling mu", "coupling nu", "coupling_from_jsonable events", "coupling_to_jsonable omega",
-        "dirac events", "enumerate_time_functions space", "enumerate_upsets space", "future_set space",
+        "coupling_from_jsonable events", "coupling_to_jsonable omega", "dirac events",
+        "enumerate_time_functions space", "enumerate_upsets space", "future_set space",
         "generate spec", "identity_coupling mu", "indicator_time_function space", "is_stably_causal space",
         "is_upset space", "kplus_closure raw", "lemma_complement_check space", "marginals omega",
         "measure events", "measure_from_jsonable events", "measure_of mu", "measure_to_jsonable mu",
@@ -953,6 +986,7 @@ def test_every_public_parameter_is_fed_or_exempt():
         LABEL_CALLS.values(),
         OBJECT_TAKERS.values(),
         PREDICATE_TAKERS.values(),
+        DECLARED_MARGINALS.values(),
     ]
     fed = fed_parameters([call for table in tables for call in table])
     exempt = {p for group in EXEMPT_PARAMETERS.values() for p in group}

@@ -123,10 +123,6 @@ class TestRelationFlags:
             assert is_stably_causal(space) == is_antisymmetric(space.kplus) == (find_cycle_pair(space) is None)
         assert is_reflexive(diamond.kplus) and is_transitive(diamond.kplus)
 
-    def test_transpose_involution(self, diamond):
-        rel = diamond.kplus
-        assert rel.transpose.transpose.rows == rel.rows
-
     def test_row_out_of_range_rejected(self):
         with pytest.raises(InputError):
             CausalRelation(2, (4, 0))

@@ -101,11 +101,11 @@ def recursive_linear_extensions(space):
     """Reference for ``_linear_extensions``: the recursive backtracking it replaced.
 
     Yields every linear extension in lexicographic order of event indices.
-    Its predecessor masks are the closure's columns, not the covering pairs.
+    Its predecessor masks are the closure's columns, read here off its rows, not the covering pairs.
     """
     n = space.n
-    cols = space.kplus.transpose.rows
-    preds = [cols[j] & ~(1 << j) for j in range(n)]
+    rows = space.kplus.rows
+    preds = [sum(1 << i for i in range(n) if i != j and rows[i] >> j & 1) for j in range(n)]
     order = []
 
     def extend(placed):

@@ -219,12 +219,17 @@ class TestCouplings:
         assert second.weights == nu.weights
 
     def test_declared_marginals_checked(self, chain2):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="^first marginal does not match the declared measure$"):
             coupling(
                 chain2.events,
                 {("a", "b"): 1},
                 mu=dirac(chain2.events, "b"),
             )
+        with pytest.raises(InputError, match="^second marginal does not match the declared measure$"):
+            coupling(chain2.events, {("a", "b"): 1}, mu=dirac(chain2.events, "a"), nu=dirac(chain2.events, "a"))
+        half = measure(chain2.events, {"a": "2/4", "b": "1/2"})
+        omega = coupling(chain2.events, {("a", "a"): "1/2", ("a", "b"): "1/4", ("b", "b"): "1/4"}, nu=half)
+        assert marginals(omega)[1].weights == half.weights
 
     def test_mass_must_be_one(self, chain2):
         with pytest.raises(InputError, match="1/2"):

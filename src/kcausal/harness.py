@@ -29,7 +29,6 @@ from .structure import (
     _check_seed,
     _is_integer,
     _require_same_events,
-    _scaled,
     _sequence,
     iter_bits,
     lemma_complement_check,
@@ -292,7 +291,7 @@ def random_forward_push(
     coupling witnesses it.
     """
     _require_same_events(space, mu, kinds=(CausalSpace, Measure))
-    den, (scaled,) = _scaled(mu.weights)
+    den, (scaled,) = mu._integer_weights
     rows = space.kplus.rows
     pair_units: dict[tuple[int, int], int] = {}
     target_units = [0] * space.n

@@ -225,59 +225,23 @@ class Certificate:
 def decide_k_causal(space: CausalSpace, mu: Measure, nu: Measure) -> Certificate:
     """Decide whether ``mu`` precedes ``nu`` along the closure, with certificate.
 
-    Max-flow on the link graph of the support events: one node per class of
-    mutually related events, source -> class (capacity ``mu``), class -> sink
-    (capacity ``nu``), and an arc for each covering pair of classes, with
-    capacity above the total mass so cuts never cross it.  Reachability along
-    links is the closure, so by Strassen's theorem ``mu`` precedes ``nu`` iff
-    the max flow is exactly 1.  The witness is an integer decomposition of
-    that flow into packets; the violator is the support of ``mu`` on the
-    source side of the min cut, which Dinic's last level search marks.  All
-    arithmetic is integer after scaling by the common denominator of both
-    measures.  Either certificate is checked before it is returned
+    By Strassen's theorem ``mu`` precedes ``nu`` iff the maximum flow from ``mu`` to ``nu``
+    along the links between classes of support events (``_max_flow``) is the whole mass, in
+    integers after scaling by the common denominator of both measures.  The witness splits
+    that flow into packets; the violator is the support of ``mu`` on the source side of the
+    minimal minimum cut.  Either certificate is checked before it is returned
     (``AssertionError`` if not).
     """
     _require_same_events(space, mu, nu, kinds=(CausalSpace, Measure, Measure))
     den, (supply, demand) = _scaled(mu.weights, nu.weights)
     support = [i for i in range(space.n) if supply[i] or demand[i]]
     classes, links = _order_links(space.kplus.rows, support)
+    given = [sum(supply[i] for i in members) for members in classes]
+    taken = [sum(demand[i] for i in members) for members in classes]
 
-    # Node ids: 0 source, 1 sink, then 2 + k for the k-th class.
-    source, sink = 0, 1
-    graph: list[list[int]] = [[] for _ in range(2 + len(classes))]
-    arc_to: list[int] = []
-    arc_cap: list[int] = []
-
-    def add_arc(u: int, v: int, cap: int):
-        graph[u].append(len(arc_to))
-        arc_to.append(v)
-        arc_cap.append(cap)
-        graph[v].append(len(arc_to))
-        arc_to.append(u)
-        arc_cap.append(0)
-
-    for k, members in enumerate(classes):
-        given = taken = 0
-        for i in members:
-            given += supply[i]
-            taken += demand[i]
-        if given:
-            add_arc(source, 2 + k, given)
-        if taken:
-            add_arc(2 + k, sink, taken)
-    for k, covers in enumerate(links):
-        for q in covers:
-            add_arc(2 + k, 2 + q, 2 * den)
-
-    flow_total, level = _dinic(graph, arc_to, arc_cap, source, sink)
+    flow_total, flows, reached = _max_flow(given, taken, links)
 
     if flow_total == den:
-        # A class's link arcs are its forward (even) arcs into class nodes,
-        # in the order they were added; each one's flow sits on its reverse.
-        flows = [
-            [(arc_to[arc] - 2, arc_cap[arc ^ 1]) for arc in arcs if not arc & 1 and arc_to[arc] >= 2]
-            for arcs in graph[2:]
-        ]
         packets = _packets(classes, supply, demand, flows)
         witness = Coupling(events=space.events, entries=((i, j, Fraction(a, den)) for i, j, a in packets))
         if not verify_coupling(space, witness, mu, nu):
@@ -285,11 +249,10 @@ def decide_k_causal(space: CausalSpace, mu: Measure, nu: Measure) -> Certificate
         return Certificate(verdict="feasible", witness=witness)
 
     violator_mask = 0
-    for k, members in enumerate(classes):
-        if level[2 + k] >= 0:
-            for i in members:
-                if supply[i]:
-                    violator_mask |= 1 << i
+    for k in reached:
+        for i in classes[k]:
+            if supply[i]:
+                violator_mask |= 1 << i
     mu_B = mu.mass_of_mask(violator_mask)
     nu_kplus_B = nu.mass_of_mask(space.future_mask(violator_mask))
     if mu_B <= nu_kplus_B:
@@ -308,7 +271,7 @@ def _packets(classes, supply, demand, flows) -> list[tuple[int, int, int]]:
     Classes are visited in topological order.  At each class the packets that
     arrived over links, coalesced by origin in arrival order, go before the
     class's own supply; they fill the class's sink demand first, then its
-    links in arc order (``flows[k]`` holds ``(class, flow)`` per link).
+    links in link order (``flows[k]`` holds ``(class, flow)`` per link).
     """
     arrived: list[dict[int, int]] = [{} for _ in classes]
     delivered: dict[int, dict[int, int]] = {}
@@ -334,14 +297,42 @@ def _packets(classes, supply, demand, flows) -> list[tuple[int, int, int]]:
     return [(i, j, amount) for j, bucket in delivered.items() for i, amount in bucket.items()]
 
 
-def _dinic(graph, arc_to, arc_cap, source: int, sink: int) -> tuple[int, list[int]]:
-    """Max-flow value and the last BFS levels.
+def _max_flow(given, taken, links) -> tuple[int, list[list[tuple[int, int]]], list[int]]:
+    """Dinic's maximum flow from a source through classes to a sink.
 
-    The last search fails to reach the sink, so the nodes it levels
-    (``level >= 0``) are the source side of a minimum cut.
+    Class ``k`` takes up to ``given[k]`` from the source, gives up to ``taken[k]`` to the sink,
+    and sends along each link in ``links[k]`` (capacity twice the total supply, so no cut
+    crosses it).  Returns the flow value, each class's ``(class, flow)`` per link in the order
+    of ``links[k]``, and the classes the last level search reaches: the source side of the
+    minimal minimum cut, the same for every maximum flow.  Only this function and ``_augment``
+    know how the network is stored.
     """
+    # Node ids: 0 source, 1 sink, then 2 + k for the k-th class.  Arc ``a``'s reverse is ``a ^ 1``.
+    source, sink = 0, 1
+    n = 2 + len(links)
+    graph: list[list[int]] = [[] for _ in range(n)]
+    arc_to: list[int] = []
+    arc_cap: list[int] = []
+
+    def add_arc(u: int, v: int, cap: int):
+        graph[u].append(len(arc_to))
+        arc_to.append(v)
+        arc_cap.append(cap)
+        graph[v].append(len(arc_to))
+        arc_to.append(u)
+        arc_cap.append(0)
+
+    for k, (g, t) in enumerate(zip(given, taken)):
+        if g:
+            add_arc(source, 2 + k, g)
+        if t:
+            add_arc(2 + k, sink, t)
+    link_cap = 2 * sum(given)
+    for k, covers in enumerate(links):
+        for q in covers:
+            add_arc(2 + k, 2 + q, link_cap)
+
     total = 0
-    n = len(graph)
     while True:
         level = [-1] * n
         level[source] = 0
@@ -353,13 +344,22 @@ def _dinic(graph, arc_to, arc_cap, source: int, sink: int) -> tuple[int, list[in
                     level[v] = level[u] + 1
                     queue.append(v)
         if level[sink] < 0:
-            return total, level
+            break
         ptr = [0] * n
         while True:
             pushed = _augment(graph, arc_to, arc_cap, level, ptr, source, sink)
             if not pushed:
                 break
             total += pushed
+
+    # A class's link arcs are its forward (even) arcs into class nodes, in the order they were added;
+    # each one's flow sits on its reverse.
+    flows = [
+        [(arc_to[arc] - 2, arc_cap[arc ^ 1]) for arc in arcs if not arc & 1 and arc_to[arc] >= 2]
+        for arcs in graph[2:]
+    ]
+    reached = [k for k in range(len(links)) if level[2 + k] >= 0]
+    return total, flows, reached
 
 
 def _augment(graph, arc_to, arc_cap, level, ptr, source: int, sink: int) -> int:

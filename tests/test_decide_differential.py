@@ -9,6 +9,11 @@ may differ and must pass ``verify_coupling``.
 The reference shares no flow code with ``kcausal``: it runs its own
 Edmonds–Karp max-flow (shortest augmenting paths by BFS; Edmonds & Karp,
 J. ACM 19, 1972) and reads the min cut from its own residual BFS.
+
+The flow layer is also checked at its own boundary: ``transport._max_flow``
+on per-class capacities and ``_order_links`` links must give the value and
+the source-side classes that Edmonds–Karp gives on the same network built
+here, and link flows that extend to a flow of that value.
 """
 
 from __future__ import annotations
@@ -31,7 +36,8 @@ from kcausal import (
     sprinkle_space,
     verify_coupling,
 )
-from kcausal.structure import iter_bits
+from kcausal.structure import _order_links, iter_bits
+from kcausal.transport import _max_flow
 
 
 def residual_bfs(graph, arc_to, arc_cap, source):
@@ -73,7 +79,7 @@ def bipartite_decide(space: CausalSpace, mu, nu):
     Returns ``(feasible, violator, mu_B, nu_kplus_B)`` as ``Certificate``
     holds them: the last three are ``None`` when feasible.
     """
-    den = lcm(mu._common_denominator, nu._common_denominator)
+    den = lcm(mu._integer_weights[0], nu._integer_weights[0])
     supply = [int(w * den) for w in mu.weights]
     demand = [int(w * den) for w in nu.weights]
     lefts = [i for i, s in enumerate(supply) if s]
@@ -196,3 +202,100 @@ def test_seeded_corpus_with_full_supports():
             nu = measure(space.events, pushed)
         verdicts.add(assert_same_decision(space, mu, nu))
     assert verdicts == {True, False}
+
+
+def link_network(given, taken, links):
+    """The network ``_max_flow`` decides: node 0 the source, 1 the sink, ``2 + k`` class ``k``."""
+    graph: list[list[int]] = [[] for _ in range(2 + len(links))]
+    arc_to: list[int] = []
+    arc_cap: list[int] = []
+
+    def add_arc(u, v, cap):
+        graph[u].append(len(arc_to))
+        arc_to.append(v)
+        arc_cap.append(cap)
+        graph[v].append(len(arc_to))
+        arc_to.append(u)
+        arc_cap.append(0)
+
+    for k, (g, t) in enumerate(zip(given, taken)):
+        add_arc(0, 2 + k, g)
+        add_arc(2 + k, 1, t)
+    for k, covers in enumerate(links):
+        for q in covers:
+            add_arc(2 + k, 2 + q, 2 * sum(given))
+    return graph, arc_to, arc_cap
+
+
+def pushed_along_links(rng, given, links):
+    """Per-class demand that takes each supply unit a random number of links forward."""
+    taken = [0] * len(given)
+    for k, units in enumerate(given):
+        for _ in range(units):
+            q = k
+            while links[q] and rng.random() < 0.7:
+                q = rng.choice(links[q])
+            taken[q] += 1
+    return taken
+
+
+def random_capacities(rng, links, mode):
+    """``given`` and ``taken`` with zeros: pushed along links or permuted (equal totals), or independent."""
+    given = [max(0, rng.randint(-8, 24)) for _ in links]
+    if mode == "pushed":
+        return given, pushed_along_links(rng, given, links)
+    if mode == "permuted":
+        return given, rng.sample(given, len(given))
+    return given, [max(0, rng.randint(-8, 24)) for _ in links]
+
+
+def assert_same_flow(given, taken, links):
+    """``_max_flow`` against Edmonds–Karp on the same network; returns the flow value."""
+    value, flows, reached = _max_flow(given, taken, links)
+    reference, reachable = edmonds_karp(*link_network(given, taken, links), 0, 1)
+    assert value == reference
+    # Every maximum flow leaves the same residual-reachable set: the minimal min cut.
+    assert sorted(reached) == [k for k in range(len(links)) if 2 + k in reachable]
+    assert [[q for q, _ in row] for row in flows] == links
+    net = [0] * len(links)
+    for k, row in enumerate(flows):
+        for q, flow in row:
+            assert flow >= 0
+            net[k] += flow
+            net[q] -= flow
+    # Class k balances with source flow s and sink flow s - net[k], both within its capacities, so
+    # s lies in [low, high]; the link flows extend to a flow of this value iff the value lies in the sums.
+    low = [max(0, d) for d in net]
+    high = [min(g, t + d) for g, t, d in zip(given, taken, net)]
+    assert all(lo <= hi for lo, hi in zip(low, high))
+    assert sum(low) <= value <= sum(high)
+    return value
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    spaces(),
+    st.lists(st.booleans(), max_size=9),
+    st.randoms(use_true_random=False),
+    st.sampled_from(["pushed", "permuted", "independent"]),
+)
+def test_flow_layer_matches_edmonds_karp(space, left_out, rng, mode):
+    members = [i for i in range(space.n) if not (i < len(left_out) and left_out[i])]
+    _, links = _order_links(space.kplus.rows, members)
+    assert_same_flow(*random_capacities(rng, links, mode), links)
+
+
+def test_flow_layer_on_the_seeded_corpus():
+    rng = random.Random(11)
+    saturated = set()
+    for k in range(24):
+        n = rng.randint(30, 80)
+        if k % 2:
+            space = sprinkle_space(n, 2, [[0, 1], [-1, 1]], rng.randrange(2**32))
+        else:
+            space = random_dag_space(n, 3 / n, rng.randrange(2**32))
+        members = [i for i in range(n) if rng.random() < 0.8] if k % 4 > 1 else range(n)
+        _, links = _order_links(space.kplus.rows, members)
+        given, taken = random_capacities(rng, links, ["pushed", "permuted", "independent"][k % 3])
+        saturated.add(assert_same_flow(given, taken, links) == sum(given))
+    assert saturated == {True, False}

@@ -267,6 +267,26 @@ def test_a_relation_is_its_rows():
     assert not [name for name, value in vars(CausalRelation).items() if isinstance(value, functools.cached_property)]
 
 
+def test_one_function_owns_the_flow_network():
+    # The arc lists are ``transport._max_flow``'s: only it and its per-path helper ``_augment`` name
+    # them, and only ``_max_flow`` calls ``_augment``, so another max-flow engine replaces just those two.
+    package = Path(kcausal.__file__).resolve().parent
+    namers, callers = set(), set()
+    for path in package.glob("*.py"):
+        for owner in ast.parse(path.read_text(encoding="utf-8")).body:
+            site = (path.name, getattr(owner, "name", None))
+            for node in ast.walk(owner):
+                # A variable, an attribute, a parameter or a keyword argument of either name.
+                name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "arg", None)
+                if name in ("arc_to", "arc_cap"):
+                    namers.add(site)
+                called = isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None))
+                if called == "_augment":
+                    callers.add(site)
+    assert namers == {("transport.py", "_max_flow"), ("transport.py", "_augment")}
+    assert callers == {("transport.py", "_max_flow")}
+
+
 CHAIN = explicit_space(["a", "b", "c"], [("a", "b"), ("b", "c")])
 UNIFORM = uniform_measure(CHAIN.events)
 

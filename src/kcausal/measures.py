@@ -11,11 +11,11 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .errors import InputError, _shown
 from .structure import (
-    EventSet, _by_label, _mapping, _rationals, _require_same_events, _scaled, iter_bits, parse_rational,
+    EventSet, _by_label, _mapping, _rationals, _reduced, _require_same_events, _scaled, iter_bits, parse_rational,
 )
 
 __all__ = [
@@ -63,18 +63,23 @@ class Measure:
         negatives = [self.events.labels[i] for i, w in enumerate(self.weights) if w.numerator < 0]
         if negatives:
             raise InputError(f"negative weight on {_shown(negatives[0])}")
-        den, (units,) = self._integer_weights
+        den, (units,) = integer = _scaled(self.weights)
+        object.__setattr__(self, "_integer_weights", integer)
         if sum(units) != den:
             raise InputError(f"weights sum to {format_rational(Fraction(sum(units), den))}, expected exactly 1")
+
+    @classmethod
+    def _of_units(cls, events: EventSet, den: int, units: Sequence[int]) -> Measure:
+        """Measure of weights ``units[i] / den`` from the package's own units: one per event, summing to ``den``."""
+        mu = object.__new__(cls)
+        den, (units,) = integer = _reduced(den, units)
+        vars(mu).update(events=events, weights=tuple(Fraction(u, den) for u in units), _integer_weights=integer)
+        return mu
 
     @cached_property
     def admissible(self) -> bool:
         """Full support: positive weight on every event."""
         return all(w > 0 for w in self.weights)
-
-    @cached_property
-    def _integer_weights(self) -> tuple[int, list[list[int]]]:
-        return _scaled(self.weights)
 
     @property
     def _common_denominator(self) -> int:
@@ -105,8 +110,7 @@ def dirac(events: EventSet, label: str) -> Measure:
 
 
 def uniform_measure(events: EventSet) -> Measure:
-    n = len(events)
-    return Measure(events=events, weights=tuple(Fraction(1, n) for _ in range(n)))
+    return Measure._of_units(events, len(events), [1] * len(events))
 
 
 def measure_of(mu: Measure, X: Iterable[str]) -> Fraction:
@@ -134,8 +138,7 @@ def convex_combination(lam, mu: Measure, nu: Measure) -> Measure:
     _require_same_events(mu, nu, kinds=(Measure, Measure))
     p, q = lam.numerator, lam.denominator
     den, (a, b) = _scaled(mu.weights, nu.weights)
-    weights = tuple(Fraction(p * x + (q - p) * y, q * den) for x, y in zip(a, b))
-    return Measure(events=mu.events, weights=weights)
+    return Measure._of_units(mu.events, q * den, [p * x + (q - p) * y for x, y in zip(a, b)])
 
 
 def integrate(mu: Measure, f) -> Fraction:

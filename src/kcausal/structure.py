@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import repeat
-from math import ceil, lcm
+from math import ceil, gcd, lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -225,10 +225,6 @@ class EventSet:
     def index(self) -> dict[str, int]:
         return {lab: i for i, lab in enumerate(self.labels)}
 
-    @cached_property
-    def full_mask(self) -> int:
-        return (1 << len(self.labels)) - 1
-
     def index_of(self, label: str) -> int:
         try:
             return self.index[label]
@@ -409,7 +405,7 @@ def lemma_complement_check(space: CausalSpace, X: Iterable[str]) -> bool:
     Holds for every subset of every space; exercised exhaustively in tests.
     """
     mask = space.events.mask_of(X)
-    comp = space.events.full_mask & ~mask
+    comp = ((1 << space.n) - 1) & ~mask
     left = space.is_upset_mask(mask)
     right = not (space.past_mask(comp) & ~comp)
     return left == right
@@ -484,6 +480,17 @@ def _scaled(*vectors: Sequence[Fraction]) -> tuple[int, list[list[int]]]:
     """The common denominator of every entry of ``vectors``, and each vector times it."""
     den = lcm(*(x.denominator for vec in vectors for x in vec))
     return den, [[x.numerator * (den // x.denominator) for x in vec] for vec in vectors]
+
+
+def _reduced(den: int, units: Sequence[int]) -> tuple[int, list[list[int]]]:
+    """``_scaled`` of the values ``units[i] / den``, without building them: all divided by ``gcd(den, *units)``.
+
+    The units are a package result that must sum to ``den``; a sum that does not is a bug (``AssertionError``).
+    """
+    if sum(units) != den:
+        raise AssertionError("units do not sum to their denominator")
+    g = gcd(den, *units)
+    return den // g, [[u // g for u in units]]
 
 
 def _exact_dtype(bound: int):

@@ -22,7 +22,7 @@ from .errors import InputError, _shown
 from .measures import Measure, _mixture_coefficient, format_rational, parse_rational
 from .structure import (
     DEFAULT_UPSET_BOUND, CausalSpace, EventSet, _check_bound, _is_integer, _labels, _mapping, _order_links,
-    _require_same_events, _scaled, _sequence, _SubsetTables,
+    _reduced, _require_same_events, _scaled, _sequence, _SubsetTables,
 )
 
 __all__ = [
@@ -72,13 +72,20 @@ class Coupling:
             if w.numerator <= 0:
                 raise InputError(f"coupling entry ({i}, {j}) must carry positive weight")
         object.__setattr__(self, "entries", tuple(sorted(entries)))
-        den, (units,) = self._integer_weights
+        den, (units,) = integer = _scaled([w for _, _, w in self.entries])
+        object.__setattr__(self, "_integer_weights", integer)
         if sum(units) != den:
             raise InputError(f"coupling mass is {format_rational(Fraction(sum(units), den))}, expected exactly 1")
 
-    @cached_property
-    def _integer_weights(self) -> tuple[int, list[list[int]]]:
-        return _scaled([w for _, _, w in self.entries])
+    @classmethod
+    def _of_units(cls, events: EventSet, den: int, units: Mapping[tuple[int, int], int]) -> Coupling:
+        """Coupling of weights ``units[i, j] / den`` from the package's own units, which sum to ``den``; zeros drop."""
+        pairs = sorted(pair for pair, u in units.items() if u)
+        omega = object.__new__(cls)
+        den, (scaled,) = integer = _reduced(den, [units[pair] for pair in pairs])
+        entries = tuple((i, j, Fraction(u, den)) for (i, j), u in zip(pairs, scaled))
+        vars(omega).update(events=events, entries=entries, _integer_weights=integer)
+        return omega
 
     @cached_property
     def _integer_marginals(self) -> tuple[int, list[int], list[int]]:
@@ -119,22 +126,21 @@ def coupling(
 
 
 def identity_coupling(mu: Measure) -> Coupling:
-    return Coupling(events=mu.events, entries=((i, i, w) for i, w in enumerate(mu.weights) if w))
+    den, (units,) = mu._integer_weights
+    return Coupling._of_units(mu.events, den, {(i, i): u for i, u in enumerate(units)})
 
 
 def product_coupling(mu: Measure, nu: Measure) -> Coupling:
     _require_same_events(mu, nu, kinds=(Measure, Measure))
-    entries = ((i, j, a * b) for i, a in enumerate(mu.weights) if a for j, b in enumerate(nu.weights) if b)
-    return Coupling(events=mu.events, entries=entries)
+    (mu_den, (first,)), (nu_den, (second,)) = mu._integer_weights, nu._integer_weights
+    units = {(i, j): a * b for i, a in enumerate(first) if a for j, b in enumerate(second)}
+    return Coupling._of_units(mu.events, mu_den * nu_den, units)
 
 
 def marginals(omega: Coupling) -> tuple[Measure, Measure]:
     """Row-sum and column-sum measures of a coupling."""
     den, rows, cols = omega._integer_marginals
-    return (
-        Measure(events=omega.events, weights=tuple(Fraction(r, den) for r in rows)),
-        Measure(events=omega.events, weights=tuple(Fraction(c, den) for c in cols)),
-    )
+    return Measure._of_units(omega.events, den, rows), Measure._of_units(omega.events, den, cols)
 
 
 def verify_coupling(space: CausalSpace, omega: Coupling, mu: Measure, nu: Measure) -> bool:
@@ -173,8 +179,7 @@ def compose_couplings(omega1: Coupling, omega2: Coupling) -> Coupling:
     for (p, q, _), a in zip(omega1.entries, units1):
         for r, b in by_middle.get(q, []):
             glued[(p, r)] = glued.get((p, r), 0) + a * b * per_mass[q]
-    den = scale * den2
-    return Coupling(events=omega1.events, entries=((p, r, Fraction(u, den)) for (p, r), u in glued.items()))
+    return Coupling._of_units(omega1.events, scale * den2, glued)
 
 
 def mix_couplings(lam, omega1: Coupling, omega2: Coupling) -> Coupling:
@@ -193,8 +198,7 @@ def mix_couplings(lam, omega1: Coupling, omega2: Coupling) -> Coupling:
         mixed[(i, j)] = p * u
     for (i, j, _), u in zip(omega2.entries, second):
         mixed[(i, j)] = mixed.get((i, j), 0) + (q - p) * u
-    den *= q
-    return Coupling(events=omega1.events, entries=((i, j, Fraction(u, den)) for (i, j), u in mixed.items() if u))
+    return Coupling._of_units(omega1.events, q * den, mixed)
 
 
 @dataclass(frozen=True)
@@ -242,8 +246,7 @@ def decide_k_causal(space: CausalSpace, mu: Measure, nu: Measure) -> Certificate
     flow_total, flows, reached = _max_flow(given, taken, links)
 
     if flow_total == den:
-        packets = _packets(classes, supply, demand, flows)
-        witness = Coupling(events=space.events, entries=((i, j, Fraction(a, den)) for i, j, a in packets))
+        witness = Coupling._of_units(space.events, den, _packets(classes, supply, demand, flows))
         if not verify_coupling(space, witness, mu, nu):
             raise AssertionError("flow decomposition produced an invalid witness coupling")
         return Certificate(verdict="feasible", witness=witness)
@@ -265,8 +268,8 @@ def decide_k_causal(space: CausalSpace, mu: Measure, nu: Measure) -> Certificate
     )
 
 
-def _packets(classes, supply, demand, flows) -> list[tuple[int, int, int]]:
-    """Split a saturating flow into ``(origin, destination, amount)`` integer packets.
+def _packets(classes, supply, demand, flows) -> dict[tuple[int, int], int]:
+    """Split a saturating flow into packets ``{(origin, destination): units}``, positive and summing to the flow.
 
     Classes are visited in topological order.  At each class the packets that
     arrived over links, coalesced by origin in arrival order, go before the
@@ -294,7 +297,7 @@ def _packets(classes, supply, demand, flows) -> list[tuple[int, int, int]]:
                 bucket[origin] = bucket.get(origin, 0) + take
                 left -= take
                 amount -= take
-    return [(i, j, amount) for j, bucket in delivered.items() for i, amount in bucket.items()]
+    return {(i, j): amount for j, bucket in delivered.items() for i, amount in bucket.items()}
 
 
 def _max_flow(given, taken, links) -> tuple[int, list[list[tuple[int, int]]], list[int]]:

@@ -115,7 +115,7 @@ class TestMeasureOf:
         mu = measure(EV3, {"a": "1/6", "b": "1/3", "c": "1/2"})
         for mask in range(8):
             X = mu.events.labels_of(mask)
-            comp = mu.events.labels_of(mu.events.full_mask ^ mask)
+            comp = mu.events.labels_of(((1 << len(mu.events)) - 1) ^ mask)
             assert measure_of(mu, X) + measure_of(mu, comp) == 1
 
 

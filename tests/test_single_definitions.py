@@ -213,15 +213,31 @@ def test_benchmark_names_resolve(home, attr):
 
 
 def test_only_structure_turns_rationals_into_integers():
-    # ``structure._scaled`` is the one place a common denominator is taken.
+    # ``structure._scaled`` is the one place a common denominator is taken, and ``structure._reduced``
+    # the one place units over a denominator are brought to the least one.
     package = Path(kcausal.__file__).resolve().parent
     users = set()
     for path in package.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            imported = isinstance(node, ast.ImportFrom) and any(alias.name == "lcm" for alias in node.names)
-            if imported or (isinstance(node, ast.Attribute) and node.attr == "lcm"):
+            imported = isinstance(node, ast.ImportFrom) and any(alias.name in ("lcm", "gcd") for alias in node.names)
+            if imported or (isinstance(node, ast.Attribute) and node.attr in ("lcm", "gcd")):
                 users.add(path.name)
     assert users == {"structure.py"}
+
+
+def test_only_the_input_readers_call_the_public_constructors():
+    # ``Measure(...)`` and ``Coupling(...)`` read outside input; ``measures.measure`` and ``transport.coupling``
+    # are their only callers.  Every measure and coupling the package computes comes from its integer units
+    # through ``_of_units``.
+    package = Path(kcausal.__file__).resolve().parent
+    callers = set()
+    for path in package.glob("*.py"):
+        for owner in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(owner):
+                called = isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None))
+                if called in ("Measure", "Coupling"):
+                    callers.add((path.name, getattr(owner, "name", None), called))
+    assert callers == {("measures.py", "measure", "Measure"), ("transport.py", "coupling", "Coupling")}
 
 
 def test_only_structure_reads_the_raw_relation():

@@ -6,6 +6,11 @@ their inputs to integers over one common denominator and build a ``Fraction``
 only per returned value.  The oracles below are the earlier versions, which
 sum, mix and glue ``Fraction`` weights entry by entry.  Values must be equal,
 and couplings must have equal entry tuples.
+
+Every measure and coupling the package computes is built from its integer
+units by ``_of_units``, not by the public constructors.  The parity tests
+rebuild each one through its public constructor from its ``Fraction`` values
+and require an equal object with equal ``_integer_weights``.
 """
 
 from __future__ import annotations
@@ -27,11 +32,15 @@ from kcausal import (
     decide_k_causal,
     default_labels,
     explicit_space,
+    identity_coupling,
     marginals,
     mix_couplings,
+    product_coupling,
+    random_forward_push,
     random_measure,
     random_space,
     tv_distance,
+    uniform_measure,
     verify_coupling,
 )
 
@@ -259,3 +268,80 @@ def test_a_marginal_one_unit_off_fails_verification(side):
     nu = Measure(on, second) if side == "first" else Measure(on, tuple(moved))
     assert not oracle_verify_coupling(space, omega, mu, nu)
     assert verify_coupling(space, omega, mu, nu) is False
+
+
+# ---------------------------------------------------------------------------
+# Parity: objects built from units equal what the public constructors build
+
+
+def assert_public_parity(obj):
+    """``obj`` rebuilt by its public constructor from its ``Fraction`` values is equal, integer units included."""
+    if isinstance(obj, Measure):
+        public = Measure(events=obj.events, weights=obj.weights)
+    else:
+        public = Coupling(events=obj.events, entries=obj.entries)
+    assert obj == public
+    assert obj._integer_weights == public._integer_weights
+
+
+@settings(max_examples=200, deadline=None)
+@given(measure_pairs(), coefficients())
+def test_measure_producers_match_the_public_constructor(pair, lam):
+    mu, nu = pair
+    for built in (uniform_measure(mu.events), convex_combination(lam, mu, nu)):
+        assert_public_parity(built)
+
+
+@settings(max_examples=200, deadline=None)
+@given(measure_pairs())
+def test_couplings_of_measures_match_the_public_constructor(pair):
+    mu, nu = pair
+    assert_public_parity(identity_coupling(mu))
+    assert_public_parity(product_coupling(mu, nu))
+
+
+@settings(max_examples=200, deadline=None)
+@given(coupling_pairs(), coefficients())
+def test_marginals_and_mixtures_match_the_public_constructor(pair, lam):
+    omega1, omega2 = pair
+    for built in (*marginals(omega1), mix_couplings(lam, omega1, omega2)):
+        assert_public_parity(built)
+
+
+@settings(max_examples=200, deadline=None)
+@given(composable_pairs())
+def test_glued_couplings_match_the_public_constructor(pair):
+    assert_public_parity(compose_couplings(*pair))
+
+
+@pytest.mark.parametrize("seed", range(150))
+def test_harness_draws_and_witnesses_match_the_public_constructor(seed):
+    rng = random.Random(seed)
+    space = random_space(rng, 7)
+    mu = random_measure(rng, space.events)
+    nu, omega = random_forward_push(rng, space, mu)
+    independent = random_measure(rng, space.events)
+    for built in (mu, nu, omega, independent):
+        assert_public_parity(built)
+    for target in (nu, independent):
+        cert = decide_k_causal(space, mu, target)
+        if cert.feasible:
+            assert_public_parity(cert.witness)
+
+
+def test_units_over_a_larger_denominator_are_reduced():
+    ev = EventSet(("a", "b"))
+    mu = Measure._of_units(ev, 48, [24, 24])
+    assert mu == Measure(ev, (Fraction(1, 2), Fraction(1, 2)))
+    assert mu._integer_weights == (2, [[1, 1]])
+    omega = Coupling._of_units(ev, 12, {(1, 1): 6, (0, 0): 0, (0, 1): 6})
+    assert omega.entries == ((0, 1, Fraction(1, 2)), (1, 1, Fraction(1, 2)))
+    assert_public_parity(omega)
+
+
+def test_units_that_miss_their_denominator_are_a_bug():
+    ev = EventSet(("a", "b"))
+    with pytest.raises(AssertionError):
+        Measure._of_units(ev, 3, [1, 1])
+    with pytest.raises(AssertionError):
+        Coupling._of_units(ev, 4, {(0, 0): 1, (0, 1): 2})

@@ -15,7 +15,8 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import InputError, _shown
 from .structure import (
-    EventSet, _by_label, _mapping, _rationals, _reduced, _require_same_events, _scaled, iter_bits, parse_rational,
+    EventSet, _by_label, _common_units, _mapping, _rationals, _reduced, _require_same_events, _scaled, iter_bits,
+    parse_rational,
 )
 
 __all__ = [
@@ -93,11 +94,7 @@ class Measure:
         return Fraction(sum(scaled[i] for i in iter_bits(mask)), den)
 
     def support_mask(self) -> int:
-        mask = 0
-        for i, w in enumerate(self.weights):
-            if w > 0:
-                mask |= 1 << i
-        return mask
+        return sum(1 << i for i, w in enumerate(self.weights) if w > 0)
 
 
 def measure(events: EventSet, weights: Mapping[str, object]) -> Measure:
@@ -121,7 +118,7 @@ def measure_of(mu: Measure, X: Iterable[str]) -> Fraction:
 def tv_distance(mu: Measure, nu: Measure) -> Fraction:
     """Total-variation distance, ``(1/2) * sum |mu(p) - nu(p)|``."""
     _require_same_events(mu, nu, kinds=(Measure, Measure))
-    den, (a, b) = _scaled(mu.weights, nu.weights)
+    den, (a, b) = _common_units(mu, nu)
     return Fraction(sum(abs(x - y) for x, y in zip(a, b)), 2 * den)
 
 
@@ -137,7 +134,7 @@ def convex_combination(lam, mu: Measure, nu: Measure) -> Measure:
     lam = _mixture_coefficient(lam)
     _require_same_events(mu, nu, kinds=(Measure, Measure))
     p, q = lam.numerator, lam.denominator
-    den, (a, b) = _scaled(mu.weights, nu.weights)
+    den, (a, b) = _common_units(mu, nu)
     return Measure._of_units(mu.events, q * den, [p * x + (q - p) * y for x, y in zip(a, b)])
 
 

@@ -424,21 +424,21 @@ def upset_masks(space: CausalSpace, max_events: int = DEFAULT_UPSET_BOUND) -> It
 class _SubsetTables:
     """Exact integer tables over every subset mask of a space's events.
 
-    The weight vectors are scaled to integers by ``scale``, the common
-    denominator of all their weights.  Events are split into chunks of
-    ``width`` consecutive bits, and a table keeps, per chunk and over that
-    chunk's sub-masks, a sum of per-event integers (scaled weights) or an OR
-    of them (closure rows), built by doubling.  A mask's value is the sum or
-    OR of its chunks' entries, so no table has more than MASK_BLOCK entries
-    at any n.  An array is int64 while its entries stay below 2**62 (masks
-    while n <= 62, masses while scale < 2**62) and holds Python integers
-    (``dtype=object``) otherwise.
+    The measures' stored units are brought to ``scale``, the least common
+    denominator of all their weights (``_common_units``).  Events are split
+    into chunks of ``width`` consecutive bits, and a table keeps, per chunk
+    and over that chunk's sub-masks, a sum of per-event integers (the units)
+    or an OR of them (closure rows), built by doubling.  A mask's value is
+    the sum or OR of its chunks' entries, so no table has more than
+    MASK_BLOCK entries at any n.  An array is int64 while its entries stay
+    below 2**62 (masks while n <= 62, masses while scale < 2**62) and holds
+    Python integers (``dtype=object``) otherwise.
     """
 
-    def __init__(self, space: CausalSpace, weights: Sequence[Sequence[Fraction]] = ()):
+    def __init__(self, space: CausalSpace, measures: Sequence = ()):
         self.n = space.n
         self.width = min(self.n, MASK_BLOCK.bit_length() - 1)
-        self.scale, scaled = _scaled(*weights)
+        self.scale, scaled = _common_units(*measures)
         self.future = self.table(space.kplus.rows, np.bitwise_or)
         self.masses = [self.table(vec, np.add) for vec in scaled]
 
@@ -480,6 +480,13 @@ def _scaled(*vectors: Sequence[Fraction]) -> tuple[int, list[list[int]]]:
     """The common denominator of every entry of ``vectors``, and each vector times it."""
     den = lcm(*(x.denominator for vec in vectors for x in vec))
     return den, [[x.numerator * (den // x.denominator) for x in vec] for vec in vectors]
+
+
+def _common_units(*objects) -> tuple[int, list[list[int]]]:
+    """``_scaled`` of measures' or couplings' weights, read from the units each one stored at construction."""
+    stored = [obj._integer_weights for obj in objects]
+    den = lcm(*(d for d, _ in stored))
+    return den, [[u * (den // d) for u in units] for d, (units,) in stored]
 
 
 def _reduced(den: int, units: Sequence[int]) -> tuple[int, list[list[int]]]:

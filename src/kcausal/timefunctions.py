@@ -29,10 +29,10 @@ from .structure import (
     _check_bound,
     _check_count,
     _check_seed,
+    _common_units,
     _mapping,
     _rationals,
     _require_same_events,
-    _scaled,
     find_cycle_pair,
 )
 from .transport import _heavier_upset
@@ -317,7 +317,7 @@ def condition4_check(
     # Every superlevel set, open or closed, of a labeling without ties is a
     # suffix of its order.  ``excess`` is mu - nu scaled to integers and sums
     # to 0, so mu <= nu on every suffix iff no prefix sum is negative.
-    _, (mu_units, nu_units) = _scaled(mu.weights, nu.weights)
+    _, (mu_units, nu_units) = _common_units(mu, nu)
     excess = [a - b for a, b in zip(mu_units, nu_units)]
     return all(min(accumulate(map(excess.__getitem__, order))) >= 0 for order in orders)
 

@@ -21,8 +21,8 @@ import numpy as np
 from .errors import InputError, _shown
 from .measures import Measure, _mixture_coefficient, format_rational, parse_rational
 from .structure import (
-    DEFAULT_UPSET_BOUND, CausalSpace, EventSet, _check_bound, _is_integer, _labels, _mapping, _order_links,
-    _reduced, _require_same_events, _scaled, _sequence, _SubsetTables,
+    DEFAULT_UPSET_BOUND, CausalSpace, EventSet, _check_bound, _common_units, _is_integer, _labels, _mapping,
+    _order_links, _reduced, _require_same_events, _scaled, _sequence, _SubsetTables,
 )
 
 __all__ = [
@@ -192,7 +192,7 @@ def mix_couplings(lam, omega1: Coupling, omega2: Coupling) -> Coupling:
     lam = _mixture_coefficient(lam)
     _require_same_events(omega1, omega2, kinds=(Coupling, Coupling))
     p, q = lam.numerator, lam.denominator
-    den, (first, second) = _scaled([w for _, _, w in omega1.entries], [w for _, _, w in omega2.entries])
+    den, (first, second) = _common_units(omega1, omega2)
     mixed: dict[tuple[int, int], int] = {}
     for (i, j, _), u in zip(omega1.entries, first):
         mixed[(i, j)] = p * u
@@ -237,7 +237,7 @@ def decide_k_causal(space: CausalSpace, mu: Measure, nu: Measure) -> Certificate
     (``AssertionError`` if not).
     """
     _require_same_events(space, mu, nu, kinds=(CausalSpace, Measure, Measure))
-    den, (supply, demand) = _scaled(mu.weights, nu.weights)
+    den, (supply, demand) = _common_units(mu, nu)
     support = [i for i in range(space.n) if supply[i] or demand[i]]
     classes, links = _order_links(space.kplus.rows, support)
     given = [sum(supply[i] for i in members) for members in classes]
@@ -412,7 +412,7 @@ def strassen_check(
     _require_same_events(space, mu, nu, kinds=(CausalSpace, Measure, Measure))
     n = space.n
     _check_bound("subset oracle", n, max_events)
-    tables = _SubsetTables(space, (mu.weights, nu.weights))
+    tables = _SubsetTables(space, (mu, nu))
     m, v = tables.masses
     past = tables.table([space.past_mask(1 << j) for j in range(n)], np.bitwise_or)
     # With event i counted as bit n-1-rank(label i) of a mask's ranked form,
@@ -454,7 +454,7 @@ def condition2_check(
     """
     _require_same_events(space, mu, nu, kinds=(CausalSpace, Measure, Measure))
     _check_bound("subset check", space.n, max_events)
-    tables = _SubsetTables(space, (mu.weights, nu.weights))
+    tables = _SubsetTables(space, (mu, nu))
     m, v = tables.masses
     for masks in tables.blocks():
         future = tables.at(tables.future, masks)
@@ -477,7 +477,7 @@ def condition3_check(
 def _heavier_upset(space, mu, nu, max_events: int) -> tuple[int, Fraction] | None:
     """First up-set mask, in increasing mask order, with ``mu(X) > nu(X)``, and the gap."""
     _check_bound("up-set enumeration", space.n, max_events)
-    tables = _SubsetTables(space, (mu.weights, nu.weights))
+    tables = _SubsetTables(space, (mu, nu))
     m, v = tables.masses
     for upsets in tables.upsets():
         gaps = tables.at(m, upsets) - tables.at(v, upsets)
@@ -501,8 +501,10 @@ def coupling_to_jsonable(omega: Coupling) -> dict:
 def coupling_from_jsonable(obj, events: EventSet) -> Coupling:
     weights: dict[tuple[str, str], Fraction] = {}
     for entry in _sequence("JSON 'pairs'", _mapping("coupling", obj).get("pairs"), 3):
-        key = _labels("JSON 'pairs'", entry[:2])
-        weights[key] = weights.get(key, Fraction(0)) + parse_rational(entry[2])
+        key, weight = _labels("JSON 'pairs'", entry[:2]), parse_rational(entry[2])
+        if weight < 0:  # refused before another entry on its pair can offset it
+            raise InputError("coupling entry ({}, {}) must carry positive weight".format(*map(events.index_of, key)))
+        weights[key] = weights.get(key, Fraction(0)) + weight
     return coupling(events, weights)
 
 

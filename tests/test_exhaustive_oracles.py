@@ -199,7 +199,7 @@ def grid_measure(rng, events, denominator):
 
 def mass_dtypes(space, mu, nu):
     """Kinds of the mass tables' arrays: "O" for Python integers, "i" for int64."""
-    tables = _SubsetTables(space, (mu.weights, nu.weights))
+    tables = _SubsetTables(space, (mu, nu))
     return {chunk.dtype.kind for _, chunks in tables.masses for chunk in chunks}
 
 

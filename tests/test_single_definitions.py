@@ -213,8 +213,9 @@ def test_benchmark_names_resolve(home, attr):
 
 
 def test_only_structure_turns_rationals_into_integers():
-    # ``structure._scaled`` is the one place a common denominator is taken, and ``structure._reduced``
-    # the one place units over a denominator are brought to the least one.
+    # ``structure`` alone takes common denominators: ``_scaled`` where ``Fraction``s first become integers,
+    # ``_common_units`` over the units measures and couplings store, and ``_reduced`` brings units over a
+    # denominator to the least one.
     package = Path(kcausal.__file__).resolve().parent
     users = set()
     for path in package.glob("*.py"):
@@ -223,6 +224,38 @@ def test_only_structure_turns_rationals_into_integers():
             if imported or (isinstance(node, ast.Attribute) and node.attr in ("lcm", "gcd")):
                 users.add(path.name)
     assert users == {"structure.py"}
+
+
+def qualified_owners(tree):
+    """Each top-level statement and each class member of a module, with its (qualified) name or None."""
+    for owner in tree.body:
+        if isinstance(owner, ast.ClassDef):
+            yield from ((f"{owner.name}.{getattr(node, 'name', None)}", node) for node in owner.body)
+        else:
+            yield getattr(owner, "name", None), owner
+
+
+def test_only_rationals_from_outside_are_scaled():
+    # After construction a measure's or coupling's one integer form is its ``_integer_weights``: every
+    # operation on stored objects reads it through ``_common_units``.  ``_scaled`` reads ``Fraction``s only
+    # where they first become integers: outside input, cone coordinates and the middle masses' reciprocals.
+    package = Path(kcausal.__file__).resolve().parent
+    scalers, weighed = set(), set()
+    for path in package.glob("*.py"):
+        for name, owner in qualified_owners(ast.parse(path.read_text(encoding="utf-8"))):
+            for node in ast.walk(owner):
+                called = isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None))
+                if called == "_scaled":
+                    scalers.add((path.name, name))
+                if called == "_SubsetTables" and any(getattr(arg, "attr", None) == "weights" for arg in ast.walk(node)):
+                    weighed.add((path.name, name))
+    assert scalers == {
+        ("measures.py", "Measure.__post_init__"),
+        ("transport.py", "Coupling.__post_init__"),
+        ("structure.py", "_cone_rows"),
+        ("transport.py", "compose_couplings"),
+    }
+    assert weighed == set()
 
 
 def test_only_the_input_readers_call_the_public_constructors():

@@ -372,6 +372,22 @@ class TestJson:
             with pytest.raises(InputError, match="list of strings"):
                 coupling_from_jsonable({"pairs": [[cause, "b", "1"]]}, events)
 
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            [["a", "b", "-1/2"], ["a", "b", "3/2"]],
+            [["a", "b", "1/2"], ["a", "b", "-1/2"], ["a", "a", "1"]],
+        ],
+    )
+    def test_negative_entries_are_refused_before_they_are_summed(self, chain2, pairs):
+        with pytest.raises(InputError, match=r"coupling entry \(0, 1\) must carry positive weight"):
+            coupling_from_jsonable({"pairs": pairs}, chain2.events)
+
+    def test_nonnegative_entries_on_one_pair_are_summed(self, chain2):
+        obj = {"pairs": [["a", "b", "1/4"], ["b", "b", "1/2"], ["a", "a", "0"], ["a", "b", "1/4"]]}
+        entries = coupling_from_jsonable(obj, chain2.events).entries
+        assert entries == ((0, 1, Fraction(1, 2)), (1, 1, Fraction(1, 2)))
+
     def test_feasible_certificate_shape(self, chain2):
         cert = decide_k_causal(chain2, dirac(chain2.events, "a"), dirac(chain2.events, "b"))
         assert certificate_to_jsonable(cert) == {

@@ -11,12 +11,18 @@ Every measure and coupling the package computes is built from its integer
 units by ``_of_units``, not by the public constructors.  The parity tests
 rebuild each one through its public constructor from its ``Fraction`` values
 and require an equal object with equal ``_integer_weights``.
+
+Operations on two or more objects read their stored units through
+``structure._common_units``.  Its oracle is ``structure._scaled`` of the
+objects' ``Fraction`` weights, the form it replaced, also on denominators of
+2**63 and more (``nudged`` measures and what ``_of_units`` builds from them).
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -43,6 +49,8 @@ from kcausal import (
     uniform_measure,
     verify_coupling,
 )
+from kcausal.structure import _common_units, _scaled
+from test_exhaustive_oracles import nudged
 
 # ---------------------------------------------------------------------------
 # Oracles: the per-entry Fraction arithmetic the integer units replaced
@@ -345,3 +353,56 @@ def test_units_that_miss_their_denominator_are_a_bug():
         Measure._of_units(ev, 3, [1, 1])
     with pytest.raises(AssertionError):
         Coupling._of_units(ev, 4, {(0, 0): 1, (0, 1): 2})
+
+
+# ---------------------------------------------------------------------------
+# Common units: the units objects stored at construction, against ``_scaled`` of their weights
+
+
+def scaled_weights(*objects):
+    """``_scaled`` of each measure's weights and each coupling's entry weights: the form it replaced."""
+    return _scaled(*(obj.weights if isinstance(obj, Measure) else [w for _, _, w in obj.entries] for obj in objects))
+
+
+def maybe_nudged(pair, nudge):
+    """The pair, or each measure with 1/3**40 moved: a common denominator of at least 2**63 (beyond one event)."""
+    return tuple(map(nudged, pair)) if nudge else pair
+
+
+@settings(max_examples=300, deadline=None)
+@given(measure_pairs(), st.booleans())
+def test_common_units_of_measures_are_their_scaled_weights(pair, nudge):
+    mu, nu = maybe_nudged(pair, nudge)
+    den, units = _common_units(mu, nu)
+    assert (den, units) == scaled_weights(mu, nu)
+    assert _common_units(mu) == scaled_weights(mu)
+    assert den >= 2**63 or not nudge or len(mu.events) == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(coupling_pairs())
+def test_common_units_of_couplings_are_their_scaled_entry_weights(pair):
+    omega1, omega2 = pair
+    assert _common_units(omega1, omega2) == scaled_weights(omega1, omega2)
+    assert _common_units(omega2, omega1, omega2) == scaled_weights(omega2, omega1, omega2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(measure_pairs(), coefficients(), st.booleans())
+def test_common_units_of_unit_built_objects_are_their_scaled_weights(pair, lam, nudge):
+    mu, nu = maybe_nudged(pair, nudge)
+    omega = product_coupling(mu, nu)
+    built = [
+        convex_combination(lam, mu, nu),
+        uniform_measure(mu.events),
+        *marginals(omega),
+        identity_coupling(mu),
+        omega,
+        mix_couplings(lam, omega, identity_coupling(nu)),
+    ]
+    for objects in [*combinations(built, 2), built]:
+        assert _common_units(*objects) == scaled_weights(*objects)
+
+
+def test_common_units_of_nothing_are_scaled_nothing():
+    assert _common_units() == _scaled() == (1, [])

@@ -270,40 +270,20 @@ def _require_same_events(first, *others, kinds: tuple[type, ...]):
 def kplus_closure(raw: CausalRelation) -> CausalRelation:
     """Smallest reflexive and transitive relation containing ``raw``.
 
-    The strongly connected components of ``raw`` come sinks first from an
-    iterative Tarjan pass (SIAM J. Comput. 1, 1972): the components a
-    component points to are all listed before it.  One pass in that order
-    gives each component the mask of its members OR-ed with the closed rows
-    of the components its members point to (Purdom, BIT 10, 1970).
-    Correct for arbitrary relations, cycles and self-loops included,
-    idempotent, and free of recursion limits.
+    One iterative Tarjan pass (SIAM J. Comput. 1, 1972) finds the strongly
+    connected components of ``raw``.  A component is popped only after every
+    component it points to, so it is closed when popped: its row is the mask
+    of its members OR-ed with the closed rows of the components its members
+    point to (Purdom, BIT 10, 1970).  Correct for arbitrary relations, cycles
+    and self-loops included, idempotent, and free of recursion limits.
     """
     rows = raw.rows
-    closed = [0] * raw.n
-    for members in _components(rows):
-        reach = 0
-        for m in members:
-            reach |= 1 << m
-        for m in members:
-            # Each successor outside ``reach`` brings its whole closed row,
-            # so successors that row covers are skipped.
-            rest = rows[m] & ~reach
-            while rest:
-                reach |= closed[(rest & -rest).bit_length() - 1]
-                rest &= ~reach
-        for m in members:
-            closed[m] = reach
-    return CausalRelation(raw.n, tuple(closed))
-
-
-def _components(rows: Sequence[int]) -> list[list[int]]:
-    """Strongly connected components of ``rows``, sinks first (iterative Tarjan)."""
-    n = len(rows)
+    n = raw.n
+    closed = [0] * n
     index = [-1] * n  # discovery order
     low = [0] * n
-    done = 0  # mask of the events whose component is already listed
+    done = 0  # mask of the events whose component is already closed
     stack: list[int] = []
-    components: list[list[int]] = []
     count = 0
     for root in range(n):
         if index[root] >= 0:
@@ -335,10 +315,20 @@ def _components(rows: Sequence[int]) -> list[list[int]]:
             if low[v] == index[v]:
                 members = stack[frame[2] :]
                 del stack[frame[2] :]
+                reach = 0
                 for m in members:
-                    done |= 1 << m
-                components.append(members)
-    return components
+                    reach |= 1 << m
+                done |= reach
+                for m in members:
+                    # Each successor outside ``reach`` brings its whole closed
+                    # row, so successors that row covers are skipped.
+                    rest = rows[m] & ~reach
+                    while rest:
+                        reach |= closed[(rest & -rest).bit_length() - 1]
+                        rest &= ~reach
+                for m in members:
+                    closed[m] = reach
+    return CausalRelation(n, tuple(closed))
 
 
 @dataclass(frozen=True)
@@ -597,11 +587,14 @@ def _cone_rows(points: Sequence[tuple[Fraction, ...]]) -> tuple[int, ...]:
     for lo in range(0, n, ROW_BLOCK):
         block = arr[lo : lo + ROW_BLOCK]
         dt = arr[None, :, 0] - block[:, None, 0]
-        sq = np.zeros_like(dt)
+        ok = dt >= 0
+        # dt becomes dt^2 - sum(dx_i^2) in place: a block holds dt, one dx and ``ok``.
+        np.multiply(dt, dt, out=dt)
         for axis in range(1, dim):
             dx = arr[None, :, axis] - block[:, None, axis]
-            sq += dx * dx
-        rows.extend(_packed_rows((dt >= 0) & (dt * dt >= sq)))
+            np.subtract(dt, np.multiply(dx, dx, out=dx), out=dt)
+        ok &= dt >= 0
+        rows.extend(_packed_rows(ok))
     return tuple(rows)
 
 

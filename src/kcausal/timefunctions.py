@@ -72,8 +72,9 @@ class TimeFunction:
     def value_of(self, label: str) -> Fraction:
         return self.values[self.events.index_of(label)]
 
-    def superlevel_mask(self, threshold: Fraction, closed: bool = False) -> int:
-        """Bit mask of events with value above (or at, if closed) the threshold."""
+    def superlevel_mask(self, threshold, closed: bool = False) -> int:
+        """Bit mask of events with value above (or at, if closed) the threshold, read by ``parse_rational``."""
+        threshold = parse_rational(threshold)
         mask = 0
         for i, v in enumerate(self.values):
             if v > threshold or (closed and v == threshold):

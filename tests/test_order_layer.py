@@ -4,6 +4,10 @@ Each oracle below is the earlier implementation, kept as the reference:
 
 - ``warshall_closure``: Warshall's closure over bit-packed rows, which
   ``kplus_closure`` ran before the SCC-condensation closure;
+- ``two_pass_closure`` and ``_components``: that condensation closure as it
+  ran in two passes, a Tarjan pass listing the components sinks first and a
+  second loop closing them, before ``kplus_closure`` closed each component
+  as the walk popped it;
 - ``pairwise_transpose``: the bit-by-bit transpose behind
   ``CausalRelation.transpose`` before it packed columns with numpy; pasts
   now read the closure rows, and the closure's columns are their reference;
@@ -30,6 +34,7 @@ import random
 from bisect import bisect_left, insort
 from fractions import Fraction
 from itertools import permutations
+from typing import Sequence
 
 import pytest
 from hypothesis import example, given, settings
@@ -73,6 +78,80 @@ def warshall_closure(raw: CausalRelation) -> CausalRelation:
     for i in range(n):
         rows[i] |= 1 << i
     return CausalRelation(n, tuple(rows))
+
+
+def two_pass_closure(raw: CausalRelation) -> CausalRelation:
+    """Smallest reflexive and transitive relation containing ``raw``.
+
+    The strongly connected components of ``raw`` come sinks first from an
+    iterative Tarjan pass (SIAM J. Comput. 1, 1972): the components a
+    component points to are all listed before it.  One pass in that order
+    gives each component the mask of its members OR-ed with the closed rows
+    of the components its members point to (Purdom, BIT 10, 1970).
+    Correct for arbitrary relations, cycles and self-loops included,
+    idempotent, and free of recursion limits.
+    """
+    rows = raw.rows
+    closed = [0] * raw.n
+    for members in _components(rows):
+        reach = 0
+        for m in members:
+            reach |= 1 << m
+        for m in members:
+            # Each successor outside ``reach`` brings its whole closed row,
+            # so successors that row covers are skipped.
+            rest = rows[m] & ~reach
+            while rest:
+                reach |= closed[(rest & -rest).bit_length() - 1]
+                rest &= ~reach
+        for m in members:
+            closed[m] = reach
+    return CausalRelation(raw.n, tuple(closed))
+
+
+def _components(rows: Sequence[int]) -> list[list[int]]:
+    """Strongly connected components of ``rows``, sinks first (iterative Tarjan)."""
+    n = len(rows)
+    index = [-1] * n  # discovery order
+    low = [0] * n
+    done = 0  # mask of the events whose component is already listed
+    stack: list[int] = []
+    components: list[list[int]] = []
+    count = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = count
+        count += 1
+        # A frame is [event, successors not yet tried, its position on the stack].
+        work = [[root, rows[root], len(stack)]]
+        stack.append(root)
+        while work:
+            frame = work[-1]
+            v = frame[0]
+            rest = frame[1] & ~done
+            if rest:
+                bit = rest & -rest
+                frame[1] = rest ^ bit
+                w = bit.bit_length() - 1
+                if index[w] < 0:
+                    index[w] = low[w] = count
+                    count += 1
+                    work.append([w, rows[w], len(stack)])
+                    stack.append(w)
+                elif index[w] < low[v]:  # visited and not done: w is on the stack
+                    low[v] = index[w]
+                continue
+            work.pop()
+            if work and low[v] < low[work[-1][0]]:
+                low[work[-1][0]] = low[v]
+            if low[v] == index[v]:
+                members = stack[frame[2] :]
+                del stack[frame[2] :]
+                for m in members:
+                    done |= 1 << m
+                components.append(members)
+    return components
 
 
 def pairwise_transpose(rel: CausalRelation) -> tuple[int, ...]:
@@ -281,7 +360,38 @@ class TestClosureMatchesWarshall:
     @pytest.mark.parametrize("n, edge_prob", [(1000, 1 / 100), (2000, 10 / 2000)])
     def test_benchmark_dag_sizes(self, n, edge_prob):
         space = random_dag_space(n, edge_prob, 5)
-        assert space.kplus.rows == warshall_closure(space.raw).rows
+        assert space.kplus.rows == warshall_closure(space.raw).rows == two_pass_closure(space.raw).rows
+
+
+@st.composite
+def raw_relations(draw, max_n=40):
+    """Arbitrary rows over up to ``max_n`` events: cycles and self-loops included."""
+    n = draw(st.integers(1, max_n))
+    rows = [0] * n
+    for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=4 * n)):
+        rows[i] |= 1 << j
+    return CausalRelation(n, tuple(rows))
+
+
+class TestOnePassMatchesTwoPass:
+    """The closure that closes each component as Tarjan's walk pops it, against the two-pass closure."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(raw_relations())
+    @example(CausalRelation(3, (0b111, 0b111, 0b111)))
+    @example(CausalRelation(4, (0b0010, 0b0001, 0b1000, 0b0100)))
+    def test_random_relations(self, raw):
+        assert kplus_closure(raw).rows == two_pass_closure(raw).rows
+
+    @pytest.mark.parametrize("last", [0, 1], ids=["chain", "cycle"])
+    def test_long_chain_and_cycle(self, last):
+        n = TestNoRecursionLimit.N
+        raw = CausalRelation(n, tuple(1 << i + 1 for i in range(n - 1)) + (last,))
+        assert kplus_closure(raw).rows == two_pass_closure(raw).rows
+
+    def test_largest_benchmark_dag(self):
+        space = random_dag_space(4000, "10/4000", 5)
+        assert space.kplus.rows == two_pass_closure(space.raw).rows
 
 
 def assert_pasts_are_columns(space, masks):
@@ -321,7 +431,7 @@ class TestPastsAndCyclePair:
                 space = CausalSpace.from_raw(EventSet(default_labels(n)), raw)
                 assert_pasts_are_columns(space, [rng.getrandbits(n) for _ in range(4)])
                 closed = warshall_closure(raw)
-                assert space.kplus.rows == closed.rows
+                assert space.kplus.rows == closed.rows == two_pass_closure(raw).rows
                 assert find_cycle_pair(space) == _labelled(space, pairwise_cycle_pair(closed))
 
     def test_one_hot_bits_land_in_the_right_past(self):

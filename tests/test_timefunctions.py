@@ -204,6 +204,16 @@ class TestValidation:
         with pytest.raises(InputError):
             TimeFunction(events=chain2.events, values=(Fraction(0),))
 
+    def test_superlevel_threshold_is_read_as_a_rational(self, chain3):
+        t = time_function(chain3, {"a": 0, "b": "1/2", "c": 1})
+        assert t.superlevel_mask("1/2") == t.superlevel_mask(Fraction(1, 2)) == chain3.events.mask_of(["c"])
+        assert t.superlevel_mask("1/2", closed=True) == chain3.events.mask_of(["b", "c"])
+        assert t.superlevel_mask(0) == chain3.events.mask_of(["b", "c"])
+        with pytest.raises(InputError, match="expected a number"):
+            t.superlevel_mask(True)
+        with pytest.raises(InputError, match="not a valid rational"):
+            t.superlevel_mask("half")
+
 
 class TestFutureVolume:
     def test_chain_uniform_full_region(self, chain3):

@@ -20,14 +20,17 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .errors import InputError, KCausalError, NotStablyCausalError
 from .harness import SUITES, TrialConfig, report_to_jsonable, run_suite
 from .measures import format_rational, measure_from_jsonable
 from .structure import (
     DEFAULT_UPSET_BOUND,
     CausalSpace,
+    _check_bound,
     _label_sorted_pairs,
-    enumerate_upsets,
+    _SubsetTables,
     space_from_jsonable,
 )
 from .timefunctions import (
@@ -128,9 +131,14 @@ def _cmd_check(args) -> int:
 
 def _cmd_upsets(args) -> int:
     space = space_from_jsonable(_load_json(args.spacetime))
-    subsets = enumerate_upsets(space, max_events=args.max_events)
-    listed = sorted((len(s), sorted(s)) for s in subsets)
-    _emit({"upsets": [labels for _, labels in listed]}, args.out)
+    _check_bound("up-set enumeration", space.n, args.max_events)
+    tables = _SubsetTables(space)
+    masks = np.concatenate(list(tables.upsets()))
+    # _emit of each up-set's sorted labels in listing order, each label quoted once; only the first up-set is empty.
+    listed = masks[tables.at(tables.key, masks).argsort()].tolist()[1:]
+    events = [(1 << i, json.dumps(space.events.labels[i])) for i in tables.by_label]
+    sets = ["    [\n      " + ",\n      ".join([label for bit, label in events if mask & bit]) + "\n    ]" for mask in listed]
+    _write('{\n  "upsets": [\n' + ",\n".join(["    []", *sets]) + "\n  ]\n}\n", args.out)
     return 0
 
 

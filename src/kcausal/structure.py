@@ -427,6 +427,7 @@ class _SubsetTables:
 
     def __init__(self, space: CausalSpace, measures: Sequence = ()):
         self.n = space.n
+        self.by_label = sorted(range(self.n), key=space.events.labels.__getitem__)
         self.width = min(self.n, MASK_BLOCK.bit_length() - 1)
         self.scale, scaled = _common_units(*measures)
         self.future = self.table(space.kplus.rows, np.bitwise_or)
@@ -464,6 +465,16 @@ class _SubsetTables:
         """Each block's future-closed masks, in increasing order."""
         for masks in self.blocks():
             yield masks[self.at(self.future, masks) == masks]
+
+    @cached_property
+    def key(self) -> tuple:
+        """Table of each mask's place in the listing order of subsets: by size, then by sorted labels.
+
+        Event i is bit n-1-rank(label i) of a mask's ranked form, and within a size the set first in
+        label order has the largest ranked form, so a mask's key is size * 2**n - ranked form.
+        """
+        rank = {i: r for r, i in enumerate(self.by_label)}
+        return self.table([(1 << self.n) - (1 << (self.n - 1 - rank[i])) for i in range(self.n)], np.add)
 
 
 def _scaled(*vectors: Sequence[Fraction]) -> tuple[int, list[list[int]]]:

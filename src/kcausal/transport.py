@@ -410,19 +410,10 @@ def strassen_check(
     is (``structure.MASK_BLOCK`` entries each).
     """
     _require_same_events(space, mu, nu, kinds=(CausalSpace, Measure, Measure))
-    n = space.n
-    _check_bound("subset oracle", n, max_events)
+    _check_bound("subset oracle", space.n, max_events)
     tables = _SubsetTables(space, (mu, nu))
     m, v = tables.masses
-    past = tables.table([space.past_mask(1 << j) for j in range(n)], np.bitwise_or)
-    # With event i counted as bit n-1-rank(label i) of a mask's ranked form,
-    # the first subset of a size in label-lexicographic order is the one with
-    # the largest ranked form, so the first violator has the least
-    # size * 2**n - ranked form.
-    event_key = [0] * n
-    for rank, i in enumerate(sorted(range(n), key=lambda i: space.events.labels[i])):
-        event_key[i] = (1 << n) - (1 << (n - 1 - rank))
-    key = tables.table(event_key, np.add)
+    past = tables.table([space.past_mask(1 << j) for j in range(space.n)], np.bitwise_or)
     first = None
     for masks in tables.blocks():
         mu_B = tables.at(m, masks)
@@ -431,7 +422,7 @@ def strassen_check(
         past_short = tables.at(m, tables.at(past, masks)) < nu_B
         bad = masks[future_short | past_short]
         if bad.size:
-            keys = tables.at(key, bad)
+            keys = tables.at(tables.key, bad)
             k = np.argmin(keys)
             if first is None or keys[k] < first[0]:
                 first = keys[k], int(bad[k])

@@ -10,9 +10,14 @@ import subprocess
 import sys
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from kcausal import (
     coupling_from_jsonable,
     enumerate_time_functions,
+    enumerate_upsets,
+    explicit_space,
     measure_from_jsonable,
     random_feasible_pair,
     random_dag_space,
@@ -185,6 +190,13 @@ class TestUpsets:
         space = write(tmp_path, "space.json", DIAMOND)
         result = run_cli("upsets", space, "--max-events", "3")
         assert result.returncode == 2
+        assert result.stdout == ""
+        # The bound is checked before anything is written, so no output file is created.
+        out = tmp_path / "upsets.json"
+        result = run_cli("upsets", space, "--max-events", "3", "--out", str(out))
+        assert result.returncode == 2
+        assert "refuses n=4 events (bound 3)" in result.stderr
+        assert not out.exists()
 
 
 class TestTimefn:
@@ -599,3 +611,68 @@ class TestTimefnWriter:
         assert result.returncode == 0
         for line in result.stdout.splitlines():
             assert sorted(json.loads(line)["values"]) == sorted(self.SPACES[0]["events"])
+
+
+def oracle_upsets_text(space):
+    """The ``upsets`` output as the command built it before it sorted masks by
+    the subset listing key, kept as an oracle: one label set per up-set, one
+    sort by (size, sorted labels), one ``json.dumps``."""
+    subsets = enumerate_upsets(space)
+    listed = sorted((len(s), sorted(s)) for s in subsets)
+    return json.dumps({"upsets": [labels for _, labels in listed]}, indent=2, sort_keys=True) + "\n"
+
+
+class TestUpsetsWriter:
+    """``upsets`` sorts the up-set masks by ``_SubsetTables.key`` and writes the
+    text from labels quoted once; the bytes must equal the oracle's."""
+
+    @staticmethod
+    def assert_bytes_match(directory, space):
+        from kcausal import cli
+
+        path = write(directory, "space.json", space_to_jsonable(space))
+        out = directory / "upsets.json"
+        assert cli.main(["upsets", path, "--out", str(out)]) == 0
+        expected = oracle_upsets_text(space)
+        assert out.read_bytes() == expected.encode("utf-8")
+        return json.loads(expected)["upsets"]
+
+    def test_diamond(self, tmp_path):
+        self.assert_bytes_match(tmp_path, space_from_jsonable(DIAMOND))
+
+    def test_one_event(self, tmp_path):
+        assert self.assert_bytes_match(tmp_path, explicit_space(["solo"], [])) == [[], ["solo"]]
+
+    def test_chain_has_one_more_upset_than_events(self, tmp_path):
+        # Labels against the chain's direction, so each up-set is a label prefix written in label order.
+        labels = [f"c{k}" for k in range(8)][::-1]
+        space = explicit_space(labels, list(zip(labels, labels[1:])))
+        assert len(self.assert_bytes_match(tmp_path, space)) == 8 + 1
+
+    def test_antichain_has_every_subset(self, tmp_path):
+        labels = random.Random(10).sample([f"e{k}" for k in range(10)], 10)
+        assert len(self.assert_bytes_match(tmp_path, explicit_space(labels, []))) == 2**10
+
+    def test_cyclic_space_upsets_hold_whole_classes(self, tmp_path):
+        cycle = {"p", "q", "r"}
+        space = explicit_space(["s", "r", "q", "p", "t"], [("p", "q"), ("q", "r"), ("r", "p"), ("r", "s")])
+        upsets = self.assert_bytes_match(tmp_path, space)
+        assert all(cycle <= set(labels) or not cycle & set(labels) for labels in upsets)
+        assert ["p", "q", "r", "s"] in upsets and ["q", "s"] not in upsets
+
+    def test_labels_that_need_escaping_and_multi_digit_labels(self, tmp_path):
+        labels = ['quo"te', "back\\slash", "tab\there", "日本語", "é", "a10", "a9", "a1"]
+        space = explicit_space(labels, [("a9", "é"), ("a10", "tab\there"), ("quo\"te", "a1")])
+        self.assert_bytes_match(tmp_path, space)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 10),
+        p=st.sampled_from(["0", "1/10", "1/4", "1/2", "4/5"]),
+        seed=st.integers(0, 2**32 - 1),
+        labels=st.permutations([f"v{k}" for k in range(11)]),
+    )
+    def test_random_dags_with_permuted_labels(self, tmp_path_factory, n, p, seed, labels):
+        # Drawn from v0 .. v10, so "v10" can sort between "v1" and "v2".
+        space = random_dag_space(n, p, seed, labels=labels[:n])
+        self.assert_bytes_match(tmp_path_factory.mktemp("upsets"), space)

@@ -308,6 +308,37 @@ def test_seeded_corpus_of_exhaustive_shapes():
             assert got == oracle_condition4_check(space, mu, nu, half_line) == verdict
 
 
+def first_violator_in_index_order(space, mu, nu):
+    """``oracle_strassen_check``'s violator with events taken in index order instead of label order."""
+    for size in range(space.n + 1):
+        for combo in combinations(range(space.n), size):
+            mask = sum(1 << i for i in combo)
+            if mu.mass_of_mask(mask) > nu.mass_of_mask(space.future_mask(mask)):
+                return space.events.labels_of(mask)
+            if mu.mass_of_mask(space.past_mask(mask)) < nu.mass_of_mask(mask):
+                return space.events.labels_of(mask)
+    return None
+
+
+def test_violator_order_follows_labels_past_one_digit():
+    # Labels e0 .. e11 sort as e0, e1, e10, e11, e2, ...: unlike v0 .. v9 in ``spaces``,
+    # string order and index order differ here, and the violator must follow string order.
+    rng = random.Random(26)
+    reordered = 0
+    for k in range(8):
+        n = 11 + k % 2
+        space = random_dag_space(n, 0.2, rng.randrange(2**32), labels=[f"e{i}" for i in range(n)])
+        mu = grid_measure(rng, space.events, 12)
+        nu = random_forward_push(rng, space, mu)[0] if k % 3 == 2 else grid_measure(rng, space.events, 12)
+        expected = oracle_strassen_check(space, mu, nu)
+        assert strassen_check(space, mu, nu) == expected
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(structure, "MASK_BLOCK", 2**3)
+            assert strassen_check(space, mu, nu) == expected
+        reordered += expected[1] != first_violator_in_index_order(space, mu, nu)
+    assert reordered >= 1
+
+
 def test_checkers_build_no_fractions_per_subset_or_time_function_per_extension(monkeypatch):
     subset_cases, extension_cases = exhaustive_corpus()
     rng = random.Random(17)

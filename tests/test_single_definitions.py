@@ -86,6 +86,7 @@ from kcausal.structure import (
     _check_event_count,
     _check_seed,
     _require_same_events,
+    _SubsetTables,
     parse_rational,
 )
 from kcausal.timefunctions import DEFAULT_ENUMERATION_BOUND
@@ -334,6 +335,30 @@ def test_one_function_owns_the_flow_network():
                     callers.add(site)
     assert namers == {("transport.py", "_max_flow"), ("transport.py", "_augment")}
     assert callers == {("transport.py", "_max_flow")}
+
+
+def test_one_owner_for_the_subset_listing_order():
+    # Subsets are listed by size, then by sorted labels, through the lazily built ``_SubsetTables.key``:
+    # the subset oracle's first violator and ``kcausal upsets`` read it, sort no labels or label sets
+    # themselves, and the checkers that list nothing never build it.
+    package = Path(kcausal.__file__).resolve().parent
+    readers, sorters = set(), set()
+    for path in package.glob("*.py"):
+        for name, owner in qualified_owners(ast.parse(path.read_text(encoding="utf-8"))):
+            for node in ast.walk(owner):
+                if isinstance(node, ast.Attribute) and node.attr in ("key", "by_label"):
+                    readers.add((path.name, name, node.attr))
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "sorted":
+                    sorters.add((path.name, name))
+    assert readers == {
+        ("structure.py", "_SubsetTables.__init__", "by_label"),
+        ("structure.py", "_SubsetTables.key", "by_label"),
+        ("transport.py", "strassen_check", "key"),
+        ("cli.py", "_cmd_upsets", "key"),
+        ("cli.py", "_cmd_upsets", "by_label"),
+    }
+    assert not sorters & {("transport.py", "strassen_check"), ("cli.py", "_cmd_upsets")}
+    assert isinstance(inspect.getattr_static(_SubsetTables, "key"), functools.cached_property)
 
 
 CHAIN = explicit_space(["a", "b", "c"], [("a", "b"), ("b", "c")])

@@ -18,7 +18,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
+from contextlib import nullcontext
+from itertools import chain
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -27,6 +29,7 @@ from .harness import SUITES, TrialConfig, report_to_jsonable, run_suite
 from .measures import format_rational, measure_from_jsonable
 from .structure import (
     DEFAULT_UPSET_BOUND,
+    MASK_BLOCK,
     CausalSpace,
     _check_bound,
     _label_sorted_pairs,
@@ -58,53 +61,52 @@ def _load_json(path: str):
             raise InputError(f"{path}: {exc}") from exc
 
 
-def _write(text: str, path: str | None):
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text, encoding="utf-8")
+def _write(pieces: Iterable[str], path: str | None):
+    """Write the text ``pieces`` in turn to ``path``, or to stdout if it is None.
+
+    The first piece is computed before ``path`` is opened, so a command whose
+    checks run there leaves no file when they fail.
+    """
+    pieces = iter(pieces)
+    first = next(pieces, "")
+    with nullcontext(sys.stdout) if path is None else open(path, "w", encoding="utf-8") as out:
+        out.write(first)
+        out.writelines(pieces)
 
 
 def _emit(obj, path: str | None):
-    _write(json.dumps(obj, indent=2, sort_keys=True) + "\n", path)
+    _write([json.dumps(obj, indent=2, sort_keys=True) + "\n"], path)
 
 
-def _emit_space(space: CausalSpace, relation: str, path: str | None):
-    """``_emit(space_to_jsonable(space, relation), path)``, with each label quoted once.
+def _emit_space(space: CausalSpace, relation: str) -> Iterator[str]:
+    """The text of ``_emit(space_to_jsonable(space, relation), path)``: a header, one piece per cause, a footer.
 
-    Writes the pair list as text line by line instead of building it as
-    nested JSON values; the bytes are the same.
+    Each label is quoted once, into the head of the pairs it causes and the
+    tail of the pairs it is the effect of; the bytes are the same.
     """
+    rows = _label_sorted_pairs(space, relation)
     quoted = [json.dumps(label) for label in space.events.labels]
-    pairs = [
-        f"      [\n        {quoted[i]},\n        {quoted[j]}\n      ]"
-        for i, j in _label_sorted_pairs(space, relation)
-    ]
-    lines = [
-        "{",
-        '  "events": [',
-        ",\n".join(f"    {label}" for label in quoted),
-        "  ],",
-        '  "relation": {',
-        '    "kind": "explicit",',
-        '    "pairs": [' + ("\n" + ",\n".join(pairs) + "\n    ]" if pairs else "]"),
-        "  }",
-        "}",
-    ]
-    _write("\n".join(lines) + "\n", path)
+    events = ",\n".join([f"    {label}" for label in quoted])
+    yield '{\n  "events": [\n' + events + '\n  ],\n  "relation": {\n    "kind": "explicit",\n    "pairs": ['
+    heads = [f"      [\n        {label},\n        " for label in quoted]
+    tails = [f"{label}\n      ]" for label in quoted]
+    sep = "\n"  # before the first pair, ",\n" after it
+    for i, effects in rows:
+        if effects:
+            yield sep + heads[i] + (",\n" + heads[i]).join([tails[j] for j in effects])
+            sep = ",\n"
+    yield ("]" if sep == "\n" else "\n    ]") + "\n  }\n}\n"
 
 
-def _timefn_lines(space: CausalSpace, timefns) -> str:
+def _timefn_lines(space: CausalSpace, timefns) -> Iterator[str]:
     """``json.dumps(timefn_to_jsonable(t), sort_keys=True) + "\\n"`` per time function, each label quoted once.
 
     Keys go in sorted-label order; rational text needs no JSON escaping, so the bytes are the same.
     """
     labels = space.events.labels
     heads = [(i, json.dumps(labels[i]) + ': "') for i in sorted(range(space.n), key=labels.__getitem__)]
-    lines = []
     for t in timefns:
-        lines.append('{"values": {' + '", '.join([head + format_rational(t.values[i]) for i, head in heads]) + '"}}\n')
-    return "".join(lines)
+        yield '{"values": {' + '", '.join([head + format_rational(t.values[i]) for i, head in heads]) + '"}}\n'
 
 
 def _bug(what: str) -> int:
@@ -135,10 +137,14 @@ def _cmd_upsets(args) -> int:
     tables = _SubsetTables(space)
     masks = np.concatenate(list(tables.upsets()))
     # _emit of each up-set's sorted labels in listing order, each label quoted once; only the first up-set is empty.
-    listed = masks[tables.at(tables.key, masks).argsort()].tolist()[1:]
+    listed = masks[tables.at(tables.key, masks).argsort()][1:]
     events = [(1 << i, json.dumps(space.events.labels[i])) for i in tables.by_label]
-    sets = ["    [\n      " + ",\n      ".join([label for bit, label in events if mask & bit]) + "\n    ]" for mask in listed]
-    _write('{\n  "upsets": [\n' + ",\n".join(["    []", *sets]) + "\n  ]\n}\n", args.out)
+    blocks = (listed[lo : lo + MASK_BLOCK].tolist() for lo in range(0, len(listed), MASK_BLOCK))
+    sets = (
+        "".join([",\n    [\n      " + ",\n      ".join([label for bit, label in events if mask & bit]) + "\n    ]" for mask in block])
+        for block in blocks
+    )
+    _write(chain(['{\n  "upsets": [\n    []'], sets, ["\n  ]\n}\n"]), args.out)
     return 0
 
 
@@ -157,7 +163,7 @@ def _cmd_timefn(args) -> int:
 
 def _cmd_generate(args) -> int:
     space = space_from_jsonable(_load_json(args.recipe))
-    _emit_space(space, args.relation, args.out)
+    _write(_emit_space(space, args.relation), args.out)
     return 0
 
 

@@ -780,17 +780,19 @@ def space_from_jsonable(obj) -> CausalSpace:
 def space_to_jsonable(space: CausalSpace, relation: str = "raw") -> dict:
     """Explicit spacetime object; pair list sorted by (cause, effect) label."""
     labels = space.events.labels
-    pairs = [[labels[i], labels[j]] for i, j in _label_sorted_pairs(space, relation)]
+    pairs = [[labels[i], labels[j]] for i, effects in _label_sorted_pairs(space, relation) for j in effects]
     return {"events": list(labels), "relation": {"kind": "explicit", "pairs": pairs}}
 
 
-def _label_sorted_pairs(space: CausalSpace, relation: str) -> Iterator[tuple[int, int]]:
-    """Index pairs of the raw relation or the closure, sorted by (cause, effect) label."""
+def _label_sorted_pairs(space: CausalSpace, relation: str) -> Iterator[tuple[int, list[int]]]:
+    """Each event in label order with its effects in the raw relation or the closure, in label order.
+
+    The relation is checked when this is called, not when the first row is read.
+    """
     if relation not in ("raw", "kplus"):
         raise InputError(f"relation must be 'raw' or 'kplus', got {_shown(relation)}")
     rows = space.raw.rows if relation == "raw" else space.kplus.rows
     order = np.array(sorted(range(space.n), key=space.events.labels.__getitem__), dtype=np.intp)
     # A row's bits put in label order are nonzero at its effects in label order.  One row
     # at a time: a block of rows held while the caller builds its output raised peak memory.
-    for i in order.tolist():
-        yield from zip(repeat(i), order[np.flatnonzero(_unpacked([rows[i]], space.n)[0, order])].tolist())
+    return ((i, order[np.flatnonzero(_unpacked([rows[i]], space.n)[0, order])].tolist()) for i in order.tolist())

@@ -97,8 +97,11 @@ class TestCoinsMatchTheRandomLoop:
 
 
 def assert_pairs_match(space):
+    # One row per event, causes in label order, each with its effects; flattened, the pairs of the bit walk.
     for relation in ("raw", "kplus"):
-        assert list(_label_sorted_pairs(space, relation)) == bitwise_label_sorted_pairs(space, relation)
+        rows = list(_label_sorted_pairs(space, relation))
+        assert [i for i, _ in rows] == sorted(range(space.n), key=space.events.labels.__getitem__)
+        assert [(i, j) for i, effects in rows for j in effects] == bitwise_label_sorted_pairs(space, relation)
 
 
 class TestPairEmitMatchesTheBitWalk:

@@ -8,6 +8,7 @@ import random
 import resource
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -28,7 +29,8 @@ from kcausal import (
     timefn_to_jsonable,
     verify_coupling,
 )
-from kcausal.structure import GENERATOR_EVENT_BOUND, iter_bits
+from kcausal.measures import format_rational
+from kcausal.structure import GENERATOR_EVENT_BOUND, MASK_BLOCK, iter_bits
 from kcausal.timefunctions import _sampled_timefns
 
 CHAIN2 = {"events": ["a", "b"], "relation": {"kind": "explicit", "pairs": [["a", "b"]]}}
@@ -252,6 +254,20 @@ class TestTimefn:
         assert result.returncode == 1
         assert "not stably causal" in result.stderr
         assert "'a'" in result.stderr and "'b'" in result.stderr
+
+    def test_failed_commands_create_no_file(self, tmp_path):
+        # The writer computes the first line before it opens --out: sampling a cyclic space fails there,
+        # and the enumeration bound is checked before anything is written.
+        out = tmp_path / "timefns.jsonl"
+        cycle = write(tmp_path, "cycle.json", CYCLE)
+        result = run_cli("timefn", cycle, "--sample", "1", "--seed", "0", "--out", str(out))
+        assert result.returncode == 1
+        assert not out.exists()
+        antichain = {"events": ["a", "b", "c"], "relation": {"kind": "explicit", "pairs": []}}
+        antichain = write(tmp_path, "antichain.json", antichain)
+        result = run_cli("timefn", antichain, "--enumerate", "--max-events", "2", "--out", str(out))
+        assert result.returncode == 2
+        assert not out.exists()
 
 
 class TestGenerate:
@@ -493,9 +509,34 @@ class TestArtifactsFeedBackIntoTheApi:
         assert verify_coupling(space, omega, mu, nu)
 
 
+def oracle_space_text(space, relation):
+    """The ``closure``/``generate`` text as ``cli._emit_space`` built it before it
+    yielded one piece per cause, kept as an oracle: an f-string per pair, one
+    list of lines, one joined string.  The pairs come from one sort of the
+    relation's label pairs, not from the code under test."""
+    rows = space.raw.rows if relation == "raw" else space.kplus.rows
+    labels = space.events.labels
+    quoted = [json.dumps(label) for label in labels]
+    ordered = sorted((labels[i], labels[j], i, j) for i, row in enumerate(rows) for j in iter_bits(row))
+    pairs = [f"      [\n        {quoted[i]},\n        {quoted[j]}\n      ]" for _, _, i, j in ordered]
+    lines = [
+        "{",
+        '  "events": [',
+        ",\n".join(f"    {label}" for label in quoted),
+        "  ],",
+        '  "relation": {',
+        '    "kind": "explicit",',
+        '    "pairs": [' + ("\n" + ",\n".join(pairs) + "\n    ]" if pairs else "]"),
+        "  }",
+        "}",
+    ]
+    return "\n".join(lines) + "\n"
+
+
 class TestPairWriter:
-    """``closure`` and ``generate`` write the pair list row by row; the bytes
-    must equal ``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``."""
+    """``closure`` and ``generate`` write the pair list a cause at a time; the bytes
+    must equal ``json.dumps(obj, indent=2, sort_keys=True) + "\\n"`` and the earlier
+    one-string writer's (``oracle_space_text``)."""
 
     @staticmethod
     def dumped(space, relation):
@@ -523,6 +564,7 @@ class TestPairWriter:
         for argv, relation in runs:
             assert cli.main([*argv, "--out", str(out)]) == 0
             assert out.read_bytes() == self.dumped(space, relation).encode("utf-8"), argv
+            assert out.read_bytes() == oracle_space_text(space, relation).encode("utf-8"), argv
 
     def test_acceptance_corpus(self, tmp_path):
         # The 200 spaces of tests/test_acceptance.py's corpus, drawn the same way.
@@ -568,10 +610,34 @@ class TestPairWriter:
         pairs = [[labels[i], labels[(3 * i + 1) % len(labels)]] for i in range(len(labels))]
         self.assert_bytes_match(tmp_path, {"events": labels, "relation": {"kind": "explicit", "pairs": pairs}})
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 30),
+        p=st.sampled_from(["0", "1/10", "1/4", "1/2", "4/5"]),
+        seed=st.integers(0, 2**32 - 1),
+        labels=st.permutations([f"v{k}" for k in range(31)]),
+    )
+    def test_random_dags_with_permuted_labels(self, tmp_path_factory, n, p, seed, labels):
+        # Drawn from v0 .. v30, so "v10" can sort between "v1" and "v2".
+        space = random_dag_space(n, p, seed, labels=labels[:n])
+        self.assert_bytes_match(tmp_path_factory.mktemp("pairs"), space_to_jsonable(space))
+
+
+def oracle_timefn_text(space, timefns):
+    """The ``timefn`` text as ``cli._timefn_lines`` built it before it yielded one
+    line per time function, kept as an oracle: every line in one list, then one join."""
+    labels = space.events.labels
+    heads = [(i, json.dumps(labels[i]) + ': "') for i in sorted(range(space.n), key=labels.__getitem__)]
+    lines = []
+    for t in timefns:
+        lines.append('{"values": {' + '", '.join([head + format_rational(t.values[i]) for i, head in heads]) + '"}}\n')
+    return "".join(lines)
+
 
 class TestTimefnWriter:
-    """``timefn`` writes each line from label text quoted once; the bytes must
-    equal ``json.dumps(timefn_to_jsonable(t), sort_keys=True) + "\\n"`` per time function."""
+    """``timefn`` writes one line at a time from label text quoted once; the bytes must
+    equal ``json.dumps(timefn_to_jsonable(t), sort_keys=True) + "\\n"`` per time function
+    and the earlier one-string writer's (``oracle_timefn_text``)."""
 
     SPACES = (
         # Labels that ``json.dumps`` escapes: a quote, a backslash, a tab, and non-ASCII é and U+2028.
@@ -590,20 +656,50 @@ class TestTimefnWriter:
     def dumped(timefns):
         return "".join(json.dumps(timefn_to_jsonable(t), sort_keys=True) + "\n" for t in timefns)
 
-    def test_enumerate_and_sample_bytes(self, tmp_path):
+    def assert_bytes_match(self, directory, spec, samples=((1, 0), (5, 17), (3, 2**64 - 1))):
         from kcausal import cli
 
-        out = tmp_path / "out.jsonl"
+        out = directory / "out.jsonl"
+        path = write(directory, "spec.json", spec)
+        space = space_from_jsonable(spec)
+        assert cli.main(["timefn", path, "--enumerate", "--out", str(out)]) == 0
+        timefns = enumerate_time_functions(space)
+        assert out.read_bytes() == self.dumped(timefns).encode("utf-8"), spec
+        assert out.read_bytes() == oracle_timefn_text(space, timefns).encode("utf-8"), spec
+        for count, seed in samples:
+            argv = ["timefn", path, "--sample", str(count), "--seed", str(seed), "--out", str(out)]
+            assert cli.main(argv) == 0
+            written, case = out.read_bytes(), (spec, count, seed)
+            assert written == self.dumped(_sampled_timefns(space, count, seed)).encode("utf-8"), case
+            assert written == oracle_timefn_text(space, _sampled_timefns(space, count, seed)).encode("utf-8"), case
+
+    def test_enumerate_and_sample_bytes(self, tmp_path):
         for spec in self.SPACES:
-            path = write(tmp_path, "spec.json", spec)
-            space = space_from_jsonable(spec)
-            assert cli.main(["timefn", path, "--enumerate", "--out", str(out)]) == 0
-            assert out.read_bytes() == self.dumped(enumerate_time_functions(space)).encode("utf-8"), spec
-            for count, seed in ((1, 0), (5, 17), (3, 2**64 - 1)):
-                argv = ["timefn", path, "--sample", str(count), "--seed", str(seed), "--out", str(out)]
-                assert cli.main(argv) == 0
-                expected = self.dumped(_sampled_timefns(space, count, seed))
-                assert out.read_bytes() == expected.encode("utf-8"), (spec, count, seed)
+            self.assert_bytes_match(tmp_path, spec)
+
+    def test_acceptance_corpus(self, tmp_path):
+        # The spaces of tests/test_acceptance.py's corpus, drawn the same way; every one is acyclic.
+        rng = random.Random(20260814)
+        for seed in range(200):
+            space = random_space(rng, 7)
+            if rng.random() < 0.5:
+                random_feasible_pair(rng, space)
+            else:
+                random_measure(rng, space.events)
+                random_measure(rng, space.events)
+            self.assert_bytes_match(tmp_path, space_to_jsonable(space), samples=((4, seed),))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 7),
+        p=st.sampled_from(["0", "1/4", "1/2", "4/5"]),
+        seed=st.integers(0, 2**32 - 1),
+        labels=st.permutations([f"v{k}" for k in range(11)]),
+    )
+    def test_random_dags_with_permuted_labels(self, tmp_path_factory, n, p, seed, labels):
+        # Drawn from v0 .. v10, so "v10" can sort between "v1" and "v2".
+        space = random_dag_space(n, p, seed, labels=labels[:n])
+        self.assert_bytes_match(tmp_path_factory.mktemp("timefns"), space_to_jsonable(space), samples=((3, seed),))
 
     def test_escaped_labels_read_back(self, tmp_path):
         path = write(tmp_path, "spec.json", self.SPACES[0])
@@ -653,6 +749,12 @@ class TestUpsetsWriter:
         labels = random.Random(10).sample([f"e{k}" for k in range(10)], 10)
         assert len(self.assert_bytes_match(tmp_path, explicit_space(labels, []))) == 2**10
 
+    def test_antichain_past_one_mask_block(self, tmp_path):
+        # 2**13 up-sets are written in slices of MASK_BLOCK masks, so the text spans more than one slice.
+        labels = random.Random(13).sample([f"e{k}" for k in range(13)], 13)
+        assert 2**13 > MASK_BLOCK
+        assert len(self.assert_bytes_match(tmp_path, explicit_space(labels, []))) == 2**13
+
     def test_cyclic_space_upsets_hold_whole_classes(self, tmp_path):
         cycle = {"p", "q", "r"}
         space = explicit_space(["s", "r", "q", "p", "t"], [("p", "q"), ("q", "r"), ("r", "p"), ("r", "s")])
@@ -676,3 +778,30 @@ class TestUpsetsWriter:
         # Drawn from v0 .. v10, so "v10" can sort between "v1" and "v2".
         space = random_dag_space(n, p, seed, labels=labels[:n])
         self.assert_bytes_match(tmp_path_factory.mktemp("upsets"), space)
+
+
+def traced_peak(call) -> int:
+    """Peak bytes ``tracemalloc`` sees allocated during ``call()``, above what was allocated before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+class TestWriterMemory:
+    def test_closure_is_not_held_as_one_string(self, tmp_path):
+        # The closure of a 1000-event DAG is megabytes of text.  Written a cause at a time, the command
+        # needs little more memory than building the space does; held whole, it needed several times
+        # the file's size on top.
+        from kcausal import cli
+
+        recipe = {"kind": "random-dag", "n": 1000, "p": "1/100", "seed": 11}
+        path = write(tmp_path, "recipe.json", recipe)
+        out = tmp_path / "closure.json"
+        building = traced_peak(lambda: space_from_jsonable(recipe))
+        command = traced_peak(lambda: cli.main(["closure", path, "--out", str(out)]))
+        assert out.stat().st_size > 4_000_000
+        assert command - building < out.stat().st_size / 8

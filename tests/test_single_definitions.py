@@ -361,6 +361,24 @@ def test_one_owner_for_the_subset_listing_order():
     assert isinstance(inspect.getattr_static(_SubsetTables, "key"), functools.cached_property)
 
 
+def test_one_writer_for_command_output():
+    # Every command's text goes through ``cli._write``, which computes the first piece before it opens
+    # ``--out``: no other function in ``cli`` opens a file for writing or writes to stdout itself.
+    path = Path(kcausal.__file__).resolve().parent / "cli.py"
+    writers = set()
+    for name, owner in qualified_owners(ast.parse(path.read_text(encoding="utf-8"))):
+        for node in ast.walk(owner):
+            if not isinstance(node, ast.Call):
+                continue
+            called = getattr(node.func, "id", getattr(node.func, "attr", None))
+            modes = [*node.args[1:2], *(k.value for k in node.keywords if k.arg == "mode")]
+            opened = called == "open" and any(set(str(getattr(m, "value", ""))) & set("wax+") for m in modes)
+            stdout = called in ("write", "writelines") and ast.unparse(node.func.value) == "sys.stdout"
+            if opened or stdout or called in ("write_text", "write_bytes"):
+                writers.add(name)
+    assert writers == {"_write"}
+
+
 CHAIN = explicit_space(["a", "b", "c"], [("a", "b"), ("b", "c")])
 UNIFORM = uniform_measure(CHAIN.events)
 

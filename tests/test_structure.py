@@ -35,7 +35,15 @@ from kcausal import (
     sprinkle_space,
     upset_masks,
 )
-from kcausal.structure import _KINDS, ROW_BLOCK, SPRINKLE_GRID, _cone_rows, find_cycle_pair, iter_bits
+from kcausal.structure import (
+    _KINDS,
+    ROW_BLOCK,
+    SPRINKLE_GRID,
+    _cone_rows,
+    _label_sorted_pairs,
+    find_cycle_pair,
+    iter_bits,
+)
 
 
 def has(rel: CausalRelation, i: int, j: int) -> bool:
@@ -450,9 +458,12 @@ class TestGeneratorSpec:
 
 class TestJsonFormats:
     def test_unknown_relation_is_refused(self, diamond):
-        # Anything but "raw" used to be read as the closure.
+        # Anything but "raw" used to be read as the closure.  The rows refuse it when asked for, before
+        # one is read, so the closure writer checks it before it opens its file.
         with pytest.raises(InputError, match="'raw' or 'kplus'"):
             space_to_jsonable(diamond, relation="bogus")
+        with pytest.raises(InputError, match="'raw' or 'kplus'"):
+            _label_sorted_pairs(diamond, "bogus")
 
     def test_explicit_round_trip(self, diamond):
         obj = space_to_jsonable(diamond)

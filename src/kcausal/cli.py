@@ -31,7 +31,6 @@ from .structure import (
     DEFAULT_UPSET_BOUND,
     MASK_BLOCK,
     CausalSpace,
-    _check_bound,
     _label_sorted_pairs,
     _SubsetTables,
     space_from_jsonable,
@@ -133,8 +132,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_upsets(args) -> int:
     space = space_from_jsonable(_load_json(args.spacetime))
-    _check_bound("up-set enumeration", space.n, args.max_events)
-    tables = _SubsetTables(space)
+    tables = _SubsetTables("up-set enumeration", space, args.max_events)
     masks = np.concatenate(list(tables.upsets()))
     # _emit of each up-set's sorted labels in listing order, each label quoted once; only the first up-set is empty.
     listed = masks[tables.at(tables.key, masks).argsort()][1:]

@@ -407,8 +407,7 @@ def enumerate_upsets(space: CausalSpace, max_events: int = DEFAULT_UPSET_BOUND) 
 
 
 def upset_masks(space: CausalSpace, max_events: int = DEFAULT_UPSET_BOUND) -> Iterator[int]:
-    _check_bound("up-set enumeration", space.n, max_events)
-    return (mask for block in _SubsetTables(space).upsets() for mask in block.tolist())
+    return (mask for block in _SubsetTables("up-set enumeration", space, max_events).upsets() for mask in block.tolist())
 
 
 class _SubsetTables:
@@ -425,7 +424,8 @@ class _SubsetTables:
     Python integers (``dtype=object``) otherwise.
     """
 
-    def __init__(self, space: CausalSpace, measures: Sequence = ()):
+    def __init__(self, what: str, space: CausalSpace, max_events: int, measures: Sequence = ()):
+        _check_bound(what, space.n, max_events)
         self.n = space.n
         self.by_label = sorted(range(self.n), key=space.events.labels.__getitem__)
         self.width = min(self.n, MASK_BLOCK.bit_length() - 1)

@@ -123,7 +123,7 @@ def _linear_extensions(space: CausalSpace) -> Iterator[tuple[int, ...]]:
     # Streams extensions in lexicographic order of event indices, none if the space has a two-way pair;
     # the first is the greedy minimal-index topological order.  Each depth keeps ``(ready, rest, placed)``:
     # the unplaced events whose covered events are all placed, those of them not yet tried there (lowest
-    # first), and the placed events.  Backtracking pops that stack, so no recursion limit caps the events.
+    # first), and the placed events.  A depth stays on this stack, not the call stack, only while ``rest`` is nonempty.
     if not is_stably_causal(space):
         return
     n = space.n
@@ -136,20 +136,18 @@ def _linear_extensions(space: CausalSpace) -> Iterator[tuple[int, ...]]:
     stack = [(ready, ready, 0)]
     order = [0] * n
     while stack:
-        ready, rest, placed = stack[-1]
-        if not rest:
-            stack.pop()
-            continue
+        ready, rest, placed = stack.pop()
         bit = rest & -rest
-        depth = len(stack)
-        stack[-1] = (ready, rest ^ bit, placed)
-        order[depth - 1] = j = bit.bit_length() - 1
+        if rest ^ bit:
+            stack.append((ready, rest ^ bit, placed))
+        depth = placed.bit_count()
+        order[depth] = j = bit.bit_length() - 1
         placed |= bit
         ready ^= bit
         for k in succ[j]:
             if not preds[k] & ~placed:
                 ready |= 1 << k
-        if depth < n:
+        if depth + 1 < n:
             stack.append((ready, ready, placed))
         else:
             yield tuple(order)
@@ -307,12 +305,13 @@ def condition4_check(
         raise InputError(f"unknown half-line variant: {_shown(half_line)}")
     _require_same_events(space, mu, nu, kinds=(CausalSpace, Measure, Measure))
     _require_stably_causal(space)
+    _check_count("sample count", samples)  # both modes' arguments are checked, whatever ``mode`` is
+    _check_seed(seed)
+    _check_count("max_events", max_events)
     if mode == "exhaustive":
         orders: Iterable[Iterable[int]] = _extensions(space, max_events)
     elif mode == "sampled":
-        orders = (
-            sorted(range(space.n), key=t.values.__getitem__) for t in _sampled_timefns(space, samples, seed)
-        )
+        orders = (sorted(range(space.n), key=t.values.__getitem__) for t in _sampled_timefns(space, samples, seed))
     else:
         raise InputError(f"unknown mode: {_shown(mode)}")
     # Every superlevel set, open or closed, of a labeling without ties is a
@@ -342,11 +341,11 @@ def condition5_check(
     """
     _require_same_events(space, mu, nu, kinds=(CausalSpace, Measure, Measure))
     _require_stably_causal(space)
+    _check_count("sample count", samples)  # both modes' arguments are checked, whatever ``mode`` is
+    _check_seed(seed)
+    _check_count("max_events", max_events)
     if mode == "sampled":
-        return all(
-            integrate(mu, t) <= integrate(nu, t)
-            for t in _sampled_timefns(space, samples, seed)
-        )
+        return all(integrate(mu, t) <= integrate(nu, t) for t in _sampled_timefns(space, samples, seed))
     if mode != "exact":
         raise InputError(f"unknown mode: {_shown(mode)}")
     violation = _heavier_upset(space, mu, nu, max_events)

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import InputError, _shown
 from .measures import Measure, _mixture_coefficient, format_rational, parse_rational
 from .structure import (
-    DEFAULT_UPSET_BOUND, CausalSpace, EventSet, _check_bound, _common_units, _is_integer, _labels, _mapping,
+    DEFAULT_UPSET_BOUND, CausalSpace, EventSet, _common_units, _is_integer, _labels, _mapping,
     _order_links, _reduced, _require_same_events, _scaled, _sequence, _SubsetTables,
 )
 
@@ -410,8 +410,7 @@ def strassen_check(
     is (``structure.MASK_BLOCK`` entries each).
     """
     _require_same_events(space, mu, nu, kinds=(CausalSpace, Measure, Measure))
-    _check_bound("subset oracle", space.n, max_events)
-    tables = _SubsetTables(space, (mu, nu))
+    tables = _SubsetTables("subset oracle", space, max_events, (mu, nu))
     m, v = tables.masses
     past = tables.table([space.past_mask(1 << j) for j in range(space.n)], np.bitwise_or)
     first = None
@@ -444,8 +443,7 @@ def condition2_check(
     whose size is bounded whatever n is (``structure.MASK_BLOCK`` entries each).
     """
     _require_same_events(space, mu, nu, kinds=(CausalSpace, Measure, Measure))
-    _check_bound("subset check", space.n, max_events)
-    tables = _SubsetTables(space, (mu, nu))
+    tables = _SubsetTables("subset check", space, max_events, (mu, nu))
     m, v = tables.masses
     for masks in tables.blocks():
         future = tables.at(tables.future, masks)
@@ -467,8 +465,7 @@ def condition3_check(
 
 def _heavier_upset(space, mu, nu, max_events: int) -> tuple[int, Fraction] | None:
     """First up-set mask, in increasing mask order, with ``mu(X) > nu(X)``, and the gap."""
-    _check_bound("up-set enumeration", space.n, max_events)
-    tables = _SubsetTables(space, (mu, nu))
+    tables = _SubsetTables("up-set enumeration", space, max_events, (mu, nu))
     m, v = tables.masses
     for upsets in tables.upsets():
         gaps = tables.at(m, upsets) - tables.at(v, upsets)

@@ -193,12 +193,16 @@ class TestUpsets:
         result = run_cli("upsets", space, "--max-events", "3")
         assert result.returncode == 2
         assert result.stdout == ""
-        # The bound is checked before anything is written, so no output file is created.
+        # ``_SubsetTables`` refuses as it is built, before anything is written, so no output file is created.
+        antichain = {"events": ["a", "b", "c"], "relation": {"kind": "explicit", "pairs": []}}
+        antichain = write(tmp_path, "antichain.json", antichain)
         out = tmp_path / "upsets.json"
-        result = run_cli("upsets", space, "--max-events", "3", "--out", str(out))
-        assert result.returncode == 2
-        assert "refuses n=4 events (bound 3)" in result.stderr
-        assert not out.exists()
+        for path, n, bound in ((space, 4, 3), (antichain, 3, 2)):
+            result = run_cli("upsets", path, "--max-events", str(bound), "--out", str(out))
+            assert result.returncode == 2
+            assert result.stdout == ""
+            assert f"up-set enumeration refuses n={n} events (bound {bound})" in result.stderr
+            assert not out.exists()
 
 
 class TestTimefn:

@@ -199,7 +199,7 @@ def grid_measure(rng, events, denominator):
 
 def mass_dtypes(space, mu, nu):
     """Kinds of the mass tables' arrays: "O" for Python integers, "i" for int64."""
-    tables = _SubsetTables(space, (mu, nu))
+    tables = _SubsetTables("subset oracle", space, DEFAULT_UPSET_BOUND, (mu, nu))
     return {chunk.dtype.kind for _, chunks in tables.masses for chunk in chunks}
 
 
@@ -270,7 +270,7 @@ def test_upsets_past_62_events_use_python_integers():
     # subsets of the free events, all in the first block of masks.
     labels = [f"e{i:02d}" for i in range(70)]
     space = explicit_space(labels, [(labels[k], labels[k + 1]) for k in range(10, 69)])
-    assert {chunk.dtype.kind for chunk in _SubsetTables(space).future[1]} == {"O"}
+    assert {chunk.dtype.kind for chunk in _SubsetTables("up-set enumeration", space, space.n).future[1]} == {"O"}
     got = list(islice(upset_masks(space, max_events=70), 1024))
     assert got == list(islice(oracle_upset_masks(space), 1024))
 

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 import kcausal
 from kcausal import (
+    BoundExceededError,
     CausalRelation,
     CausalSpace,
     Coupling,
@@ -361,6 +362,20 @@ def test_one_owner_for_the_subset_listing_order():
     assert isinstance(inspect.getattr_static(_SubsetTables, "key"), functools.cached_property)
 
 
+def test_two_owners_for_the_exhaustive_bounds():
+    # Every subset scan builds a ``_SubsetTables``, which refuses a space over ``max_events`` as it is built,
+    # and every extension scan reads ``timefunctions._extensions``: no other function checks the bound.
+    package = Path(kcausal.__file__).resolve().parent
+    callers = set()
+    for path in package.glob("*.py"):
+        for name, owner in qualified_owners(ast.parse(path.read_text(encoding="utf-8"))):
+            for node in ast.walk(owner):
+                called = isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None))
+                if called == "_check_bound":
+                    callers.add((path.name, name))
+    assert callers == {("structure.py", "_SubsetTables.__init__"), ("timefunctions.py", "_extensions")}
+
+
 def test_one_writer_for_command_output():
     # Every command's text goes through ``cli._write``, which computes the first piece before it opens
     # ``--out``: no other function in ``cli`` opens a file for writing or writes to stdout itself.
@@ -391,6 +406,9 @@ SEED_TAKERS = {
     "sample_time_function": lambda seed: sample_time_function(CHAIN, seed),
     "condition4_check": lambda seed: condition4_check(CHAIN, UNIFORM, UNIFORM, mode="sampled", seed=seed),
     "condition5_check": lambda seed: condition5_check(CHAIN, UNIFORM, UNIFORM, mode="sampled", seed=seed),
+    # The sampled mode's seed is checked in the other mode too.
+    "condition4_check exhaustive": lambda seed: condition4_check(CHAIN, UNIFORM, UNIFORM, seed=seed),
+    "condition5_check exact": lambda seed: condition5_check(CHAIN, UNIFORM, UNIFORM, seed=seed),
 }
 
 
@@ -455,6 +473,19 @@ COUNT_TAKERS = {
     "condition5_check samples": (
         "sample count", 1, lambda samples: condition5_check(CHAIN, UNIFORM, UNIFORM, mode="sampled", samples=samples)
     ),
+    # Each mode's count or bound is checked in the other mode too.
+    "condition4_check exhaustive samples": (
+        "sample count", 1, lambda samples: condition4_check(CHAIN, UNIFORM, UNIFORM, samples=samples)
+    ),
+    "condition5_check exact samples": (
+        "sample count", 1, lambda samples: condition5_check(CHAIN, UNIFORM, UNIFORM, samples=samples)
+    ),
+    "condition4_check sampled max_events": (
+        "max_events", 1, lambda bound: condition4_check(CHAIN, UNIFORM, UNIFORM, mode="sampled", max_events=bound)
+    ),
+    "condition5_check sampled max_events": (
+        "max_events", 1, lambda bound: condition5_check(CHAIN, UNIFORM, UNIFORM, mode="sampled", max_events=bound)
+    ),
     "upset_masks": ("max_events", 1, lambda bound: upset_masks(CHAIN, bound)),
     "enumerate_upsets": ("max_events", 1, lambda bound: enumerate_upsets(CHAIN, bound)),
     "strassen_check": ("max_events", 1, lambda bound: strassen_check(CHAIN, UNIFORM, UNIFORM, bound)),
@@ -465,6 +496,29 @@ COUNT_TAKERS = {
     "enumerate_time_functions": ("max_events", 1, lambda bound: enumerate_time_functions(CHAIN, bound)),
     "minguzzi_check": ("max_events", 1, lambda bound: minguzzi_check(CHAIN, "a", "c", bound)),
 }
+
+
+# Every subset scan and what ``_SubsetTables`` calls it when it refuses the space.
+SUBSET_SCANS = {
+    "strassen_check": ("subset oracle", lambda bound: strassen_check(CHAIN, UNIFORM, UNIFORM, bound)),
+    "condition2_check": ("subset check", lambda bound: condition2_check(CHAIN, UNIFORM, UNIFORM, bound)),
+    "condition3_check": ("up-set enumeration", lambda bound: condition3_check(CHAIN, UNIFORM, UNIFORM, bound)),
+    "condition5_check exact": (
+        "up-set enumeration", lambda bound: condition5_check(CHAIN, UNIFORM, UNIFORM, max_events=bound)
+    ),
+    "upset_masks": ("up-set enumeration", lambda bound: upset_masks(CHAIN, bound)),
+}
+
+
+@pytest.mark.parametrize("scan", SUBSET_SCANS)
+def test_subset_scans_refuse_one_event_over_the_bound(scan):
+    # ``upset_masks`` refuses when it is called, not when its stream is first read.
+    what, call = SUBSET_SCANS[scan]
+    with pytest.raises(BoundExceededError) as got:
+        call(CHAIN.n - 1)
+    assert type(got.value) is BoundExceededError
+    assert str(got.value) == f"{what} refuses n=3 events (bound 2)"
+    call(CHAIN.n)
 
 
 # A float, a bool, a string and None are not counts, and each taker has a least value.

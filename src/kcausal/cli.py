@@ -37,8 +37,8 @@ from .structure import (
 )
 from .timefunctions import (
     DEFAULT_ENUMERATION_BOUND,
+    _ranked_timefns,
     _sampled_timefns,
-    enumerate_time_functions,
 )
 from .transport import (
     certificate_to_jsonable,
@@ -149,7 +149,7 @@ def _cmd_upsets(args) -> int:
 def _cmd_timefn(args) -> int:
     space = space_from_jsonable(_load_json(args.spacetime))
     if args.enumerate:
-        timefns = enumerate_time_functions(space, max_events=args.max_events)
+        timefns = _ranked_timefns(space, args.max_events)
     else:
         # A bad count is reported before a missing seed; a given seed is range-checked with the count.
         timefns = _sampled_timefns(space, args.sample, 0 if args.seed is None else args.seed)

@@ -9,6 +9,7 @@ topologically closed, so no separate closure step is needed or modeled.
 
 from __future__ import annotations
 
+import numbers
 import random
 import sys
 from dataclasses import dataclass
@@ -125,6 +126,8 @@ def parse_rational(value) -> Fraction:
             return Fraction(value)
         except (ValueError, ZeroDivisionError, OverflowError) as exc:
             raise InputError(f"not a valid rational: {_shown(value)}") from exc
+    if isinstance(value, numbers.Integral):  # numpy's integers; read as ``int``, so the numerator is not fixed-width
+        return Fraction(int(value))
     raise InputError(f"expected a number, got {_shown(value)}")
 
 

@@ -201,8 +201,13 @@ def enumerate_time_functions(
     Complete up to order-isomorphism of value assignments: any time function
     induces the same superlevel sets as one of these.
     """
+    return list(_ranked_timefns(space, max_events))
+
+
+def _ranked_timefns(space: CausalSpace, max_events: int) -> Iterator[TimeFunction]:
+    # The space and the bound are checked now; each time function is built as it is read.
     ranks = tuple(map(Fraction, range(space.n)))
-    return [_rank_values(space, order, ranks) for order in _extensions(space, max_events)]
+    return (_rank_values(space, order, ranks) for order in _extensions(space, max_events))
 
 
 def sample_time_function(space: CausalSpace, seed: int) -> TimeFunction:
@@ -272,11 +277,10 @@ def _default_epsilon(space: CausalSpace) -> Fraction:
 
 
 def _sampled_timefns(space: CausalSpace, samples: int, seed: int) -> Iterator[TimeFunction]:
-    # The count and the seed are checked now; the samples are drawn as they are consumed.
+    # The count and the seed are checked now; the generator is seeded at the first draw, and each sample drawn as it is read.
     _check_count("sample count", samples)
     _check_seed(seed)
-    rng = random.Random(seed)
-    return (sample_time_function(space, rng.randrange(SEED_SPAN)) for _ in range(samples))
+    return (sample_time_function(space, rng.randrange(SEED_SPAN)) for rng in map(random.Random, [seed]) for _ in range(samples))
 
 
 def condition4_check(
@@ -305,13 +309,12 @@ def condition4_check(
         raise InputError(f"unknown half-line variant: {_shown(half_line)}")
     _require_same_events(space, mu, nu, kinds=(CausalSpace, Measure, Measure))
     _require_stably_causal(space)
-    _check_count("sample count", samples)  # both modes' arguments are checked, whatever ``mode`` is
-    _check_seed(seed)
+    sampled = _sampled_timefns(space, samples, seed)  # both modes' arguments are checked, whatever ``mode`` is
     _check_count("max_events", max_events)
     if mode == "exhaustive":
         orders: Iterable[Iterable[int]] = _extensions(space, max_events)
     elif mode == "sampled":
-        orders = (sorted(range(space.n), key=t.values.__getitem__) for t in _sampled_timefns(space, samples, seed))
+        orders = (sorted(range(space.n), key=t.values.__getitem__) for t in sampled)
     else:
         raise InputError(f"unknown mode: {_shown(mode)}")
     # Every superlevel set, open or closed, of a labeling without ties is a
@@ -341,11 +344,10 @@ def condition5_check(
     """
     _require_same_events(space, mu, nu, kinds=(CausalSpace, Measure, Measure))
     _require_stably_causal(space)
-    _check_count("sample count", samples)  # both modes' arguments are checked, whatever ``mode`` is
-    _check_seed(seed)
+    sampled = _sampled_timefns(space, samples, seed)  # both modes' arguments are checked, whatever ``mode`` is
     _check_count("max_events", max_events)
     if mode == "sampled":
-        return all(integrate(mu, t) <= integrate(nu, t) for t in _sampled_timefns(space, samples, seed))
+        return all(integrate(mu, t) <= integrate(nu, t) for t in sampled)
     if mode != "exact":
         raise InputError(f"unknown mode: {_shown(mode)}")
     violation = _heavier_upset(space, mu, nu, max_events)

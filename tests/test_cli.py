@@ -809,3 +809,17 @@ class TestWriterMemory:
         command = traced_peak(lambda: cli.main(["closure", path, "--out", str(out)]))
         assert out.stat().st_size > 4_000_000
         assert command - building < out.stat().st_size / 8
+
+    def test_enumerated_time_functions_are_not_held(self, tmp_path):
+        # An 8-event antichain has 8! = 40320 linear extensions, megabytes of lines.  Built one time
+        # function per line as the extension stream yields it, the command needs little more memory than
+        # building the space does; built as a list first, it needed about twice the file's size on top.
+        from kcausal import cli
+
+        antichain = {"events": [f"e{k}" for k in range(8)], "relation": {"kind": "explicit", "pairs": []}}
+        path = write(tmp_path, "antichain.json", antichain)
+        out = tmp_path / "timefns.jsonl"
+        building = traced_peak(lambda: space_from_jsonable(antichain))
+        command = traced_peak(lambda: cli.main(["timefn", path, "--enumerate", "--out", str(out)]))
+        assert out.stat().st_size > 3_000_000
+        assert command - building < out.stat().st_size / 8

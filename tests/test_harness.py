@@ -7,9 +7,10 @@ import random
 
 import pytest
 
-from kcausal import cli, harness
+from kcausal import cli, harness, timefunctions
 from kcausal import (
     SUITES,
+    CausalSpace,
     InputError,
     TrialConfig,
     TrialReport,
@@ -27,6 +28,7 @@ from kcausal import (
     report_to_jsonable,
     run_suite,
     space_from_jsonable,
+    space_to_jsonable,
     uniform_measure,
     verify_coupling,
 )
@@ -275,3 +277,56 @@ class TestFailingTrial:
         assert cli.main(["verify", "--suite", suite, "--trials", "2", "--report", str(report)]) == 1
         assert f"{suite}: 0 passed, 2 failed" in capsys.readouterr().out
         assert len(json.loads(report.read_text(encoding="utf-8"))["failures"]) == 2
+
+
+# One defect per suite, planted in the library operation the suite's runner calls, at the name it is
+# looked up by.  Each keeps the package's own assertions true, so the suite reports a failure instead
+# of raising.  ``remark8`` is missing: both half-line variants run one scan, so it cannot fail (README).
+PLANTED_DEFECTS = {
+    # The mixed witness is weighted the wrong way round.
+    "prop2-closedness": lambda patch, mix=harness.mix_couplings: patch.setattr(
+        harness, "mix_couplings", lambda lam, first, second: mix(1 - lam, first, second)
+    ),
+    # The composed coupling is the first one.
+    "prop2-transitivity": lambda patch: patch.setattr(harness, "compose_couplings", lambda first, second: first),
+    # Condition 2 answers the wrong way on 7-event spaces.
+    "thm3-chain": lambda patch, check=harness.condition2_check: patch.setattr(
+        harness, "condition2_check", lambda space, mu, nu: check(space, mu, nu) != (space.n == 7)
+    ),
+    # The subset oracle always answers feasible.
+    "thm4-oracle": lambda patch: patch.setattr(harness, "strassen_check", lambda space, mu, nu: (True, None)),
+    # A causal past never reaches the last event.
+    "lemma6": lambda patch: patch.setattr(
+        CausalSpace, "past_mask", lambda self, mask: sum(1 << i for i, row in enumerate(self.kplus.rows[:-1]) if row & mask)
+    ),
+    # The extension stream forgets the last covering pair.
+    "minguzzi": lambda patch, covers=timefunctions._covers: patch.setattr(
+        timefunctions, "_covers", lambda space: covers(space)[:-1]
+    ),
+}
+
+
+def test_every_suite_but_remark8_has_a_planted_defect():
+    assert sorted(PLANTED_DEFECTS) == sorted(set(SUITES) - {"remark8"})
+
+
+@pytest.mark.parametrize("suite", PLANTED_DEFECTS)
+def test_a_planted_defect_fails_its_suite_with_a_bundle_that_replays_it(monkeypatch, suite):
+    PLANTED_DEFECTS[suite](monkeypatch)
+    config = TrialConfig(suites=(suite,), trials=200, seed=0)
+    report = run_suite(config)
+    ((_, _, failed),) = report.counts
+    assert failed >= 1 and len(report.failures) == failed
+    json.dumps(report_to_jsonable(report))
+    failure = report.failures[0]
+    runner = harness._SUITES[suite][0]
+
+    def replay():
+        rng = random.Random(f"{failure['seed']}:{suite}:{failure['trial']}")
+        space = random_space(rng, config.max_events)
+        assert space_to_jsonable(space) == failure["space"]
+        return runner(rng, space)
+
+    assert replay() is not None
+    monkeypatch.undo()
+    assert replay() is None

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,6 +13,7 @@ from kcausal import (
     EventSet,
     InputError,
     Measure,
+    TimeFunction,
     convex_combination,
     dirac,
     format_rational,
@@ -58,6 +60,24 @@ class TestParseRational:
         for bad in ("one/two", "1/0", None, True, [1]):
             with pytest.raises(InputError):
                 parse_rational(bad)
+
+    def test_numpy_integers_read_as_python_integers(self):
+        # Fraction keeps a numpy numerator as it is, and 2**62 * 4 wraps to 0 in int64.
+        value = parse_rational(np.int64(2**62))
+        assert type(value.numerator) is int
+        assert value * 4 == 2**64
+        assert parse_rational(np.uint64(2**63)) == 2**63
+        assert parse_rational(np.int8(-3)) == -3
+
+    def test_numpy_integer_arrays_and_weights_build_what_lists_build(self):
+        events = EventSet(labels=("a", "b"))
+        assert TimeFunction(events, np.array([1, 2])) == TimeFunction(events, [1, 2])
+        assert measure(events, {"a": np.int64(1)}) == measure(events, {"a": 1})
+        assert measure(events, {"a": np.uint8(0), "b": np.int32(1)}) == measure(events, {"b": 1})
+
+    def test_numpy_bool_is_refused(self):
+        with pytest.raises(InputError, match="expected a number"):
+            parse_rational(np.bool_(True))
 
     def test_format_round_trip(self):
         for value in (Fraction(1, 3), Fraction(0), Fraction(7), Fraction(-2, 5)):

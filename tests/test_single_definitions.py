@@ -11,6 +11,7 @@ import sys
 from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -374,6 +375,74 @@ def test_two_owners_for_the_exhaustive_bounds():
                 if called == "_check_bound":
                     callers.add((path.name, name))
     assert callers == {("structure.py", "_SubsetTables.__init__"), ("timefunctions.py", "_extensions")}
+
+
+def test_one_owner_for_the_sampled_streams_arguments():
+    # ``timefunctions._sampled_timefns`` checks the sample count and the seed of every sampled stream:
+    # conditions 4 and 5 take their stream from it before they branch on ``mode``, and only
+    # ``sample_time_function``, which draws one sample from a seed of its own, checks a seed beside it.
+    package = Path(kcausal.__file__).resolve().parent
+    counters, seeders = set(), set()
+    for path in package.glob("*.py"):
+        for name, owner in qualified_owners(ast.parse(path.read_text(encoding="utf-8"))):
+            for node in ast.walk(owner):
+                called = isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None))
+                if called == "_check_count" and getattr(node.args[0], "value", None) == "sample count":
+                    counters.add((path.name, name))
+                if called == "_check_seed" and path.name == "timefunctions.py":
+                    seeders.add(name)
+    assert counters == {("timefunctions.py", "_sampled_timefns")}
+    assert seeders == {"_sampled_timefns", "sample_time_function"}
+
+
+class TestSampledStreamSeeding:
+    """``_sampled_timefns`` seeds its generator at the first draw, so the modes that draw nothing build none."""
+
+    SPACE = explicit_space(["a", "b", "c", "d"], [("a", "b"), ("c", "d")])
+    MU = measure(SPACE.events, {"a": "1/2", "c": "1/2"})
+    NU = measure(SPACE.events, {"b": "1/2", "d": "1/2"})
+    # The five time functions seed 11 draws, as the stream drew them when it was seeded at the call.
+    DRAWN = [
+        ("11/12", "1", "41/24", "23/12"),
+        ("17/8", "8/3", "11/12", "4/3"),
+        ("7/12", "9/8", "5/12", "5/3"),
+        ("3/4", "13/6", "4/3", "41/24"),
+        ("41/24", "23/8", "11/12", "7/3"),
+    ]
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The seeds of every ``random.Random`` that ``timefunctions`` builds, in order."""
+        seeds = []
+
+        class Counted(random.Random):
+            def __init__(self, seed):
+                seeds.append(seed)
+                super().__init__(seed)
+
+        monkeypatch.setattr(module("timefunctions"), "random", SimpleNamespace(Random=Counted))
+        return seeds
+
+    def test_exhaustive_and_exact_modes_build_no_generator(self, built):
+        assert condition4_check(self.SPACE, self.MU, self.NU, mode="exhaustive", seed=SEED_SPAN - 1)
+        assert condition5_check(self.SPACE, self.MU, self.NU, mode="exact", seed=SEED_SPAN - 1)
+        assert built == []
+
+    @pytest.mark.parametrize("check", [condition4_check, condition5_check], ids=lambda check: check.__name__)
+    def test_a_sampled_call_draws_the_pinned_time_functions(self, built, monkeypatch, check):
+        drawn = []
+        sample = module("timefunctions").sample_time_function
+
+        def recorded(space, seed):
+            timefn = sample(space, seed)
+            drawn.append(tuple(map(str, timefn.values)))
+            return timefn
+
+        monkeypatch.setattr(module("timefunctions"), "sample_time_function", recorded)
+        assert check(self.SPACE, self.MU, self.NU, mode="sampled", samples=5, seed=11)
+        assert drawn == self.DRAWN
+        # One generator for the stream, seeded at its first draw, then one per sample.
+        assert built[0] == 11 and len(built) == 1 + 5
 
 
 def test_one_writer_for_command_output():
